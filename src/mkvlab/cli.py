@@ -35,7 +35,7 @@ from .analysis import stability_experiment, stationary_estimate
 from .lions import REGISTRY, check_structure, registry_function
 from .lyapunov import check_floor, check_lyapunov_condition
 from .measure import vbar_power, wasserstein_p_1d
-from .model import ModelSpec
+from .model import ModelSpec, ladder_level
 from .scenarios import Scenario, builtin_scenario
 from .simulate import (
     BlowUpError,
@@ -96,7 +96,7 @@ class RunConfig:
     n_particles: int = 1000
     horizon: float = 1.0
     steps_per_unit: int = 200
-    cut_level: float = 4.0
+    cut_level: int = 4
     seed: int = 0
     exit_levels: tuple = ()
     lag: str = "none"
@@ -187,10 +187,22 @@ def _floats(val: str) -> tuple:
     return tuple(_float(tok) for tok in val.split())
 
 
-def _ints(val: str) -> tuple:
+def _level(val: str) -> int:
+    """A ladder level: integer text, or a real with no fractional part."""
+    try:
+        return _int(val)
+    except ValueError:
+        return ladder_level(_float(val))
+
+
+def _levels(val: str) -> tuple:
     if val == "none":
         return ()
-    return tuple(_int(tok) for tok in val.split())
+    return tuple(_level(tok) for tok in val.split())
+
+
+def _level_text(val) -> str:
+    return str(ladder_level(val))
 
 
 def _strs(val: str) -> tuple:
@@ -228,9 +240,9 @@ _KEYS = {
     "sim.n_particles": ("n_particles", _int, str),
     "sim.horizon": ("horizon", _float, repr),
     "sim.steps_per_unit": ("steps_per_unit", _int, str),
-    "sim.cut_level": ("cut_level", _float, repr),
+    "sim.cut_level": ("cut_level", _level, _level_text),
     "sim.seed": ("seed", _int, str),
-    "sim.exit_levels": ("exit_levels", _ints, _tuple_text(str)),
+    "sim.exit_levels": ("exit_levels", _levels, _tuple_text(_level_text)),
     "sim.lag": ("lag", str, str),
     "sim.threads": ("threads", _int, str),
     "sim.stream": ("stream", _int, str),

@@ -23,15 +23,16 @@ Two residual tests back the calculus against the particle dynamics:
   three standard deviations of the accumulated martingale variance.
 * ``ito_residual_full`` — per-particle version for v(t, x_t, μ_t): the
   measure terms of the generator are averaged over an *independent* second
-  cloud (own noise stream, one above the primary), mirroring the
+  cloud (same stream, its own noise purposes), mirroring the
   product-space construction behind the formula, and the stochastic
   integral ∂_x v·σ dw is subtracted using the realized increments, so the
   mean residual is centered; the band is a 3-sigma CLT width across
   particles.
 
 Both residual runs reuse the engine's own stepping (cut coefficients,
-frozen exits, shared noise layout), so the accumulated generator term sees
-exactly the coefficients that moved the particles.
+frozen exits, shared noise layout) and hand it the coefficients they
+evaluated for the generator term, so that term sees exactly the
+coefficients that moved the particles, computed once per step.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from .lyapunov import CheckReport, CheckRow, LyapunovSpec
 from .measure import EmpiricalMeasure, evaluate_functionals
 from .model import ModelSpec, evaluate_coefficients
-from .parallel import WorkerPool, tree_mean
+from .parallel import tree_mean
 from .simulate import (
     DiagnosticsSeries,
     InitialLaw,
@@ -324,37 +325,32 @@ def ito_residual_measure(
     noise = NoiseStream(cfg.seed, cfg.stream)
     x0 = init.sample(cfg.n_particles, model.dim, noise)
     cloud = ParticleCloud.create(x0, model, cfg.tracked_levels())
-    pool = WorkerPool(cfg.threads) if cfg.threads > 1 else None
     checkpoints = set(cfg.checkpoint_steps())
     u0 = u(cloud.x)
     acc = 0.0
     mart_var = 0.0
     rows = [[0.0, 0.0, 0.0]]
-    try:
-        for _ in range(cfg.total_steps):
-            fv = evaluate_functionals(model.functionals, cloud.x)
-            b, s = evaluate_coefficients(
-                model, cloud.t, cloud.x, fv, cfg.cut_level
+    for _ in range(cfg.total_steps):
+        fv = evaluate_functionals(model.functionals, cloud.x)
+        b, s = evaluate_coefficients(
+            model, cloud.t, cloud.x, fv, cfg.cut_level
+        )
+        g = u.d_mu(cloud.x, cloud.x)
+        hess = u.dy_d_mu(cloud.x, cloud.x)
+        drift = np.einsum("nd,nd->n", b, g)
+        trace = np.einsum("nik,njk,nij->n", s, s, hess)
+        acc += cfg.dt * float(tree_mean(drift + 0.5 * trace))
+        sg = np.einsum("nd,ndk->nk", g, s)
+        mart_var += (
+            cfg.dt
+            * float(tree_mean(np.einsum("nk,nk->n", sg, sg)))
+            / cloud.n
+        )
+        cloud = euler_step(cloud, model, cfg, noise, coefficients=(b, s))
+        if cloud.step in checkpoints:
+            rows.append(
+                [cloud.t, u(cloud.x) - u0 - acc, 3.0 * math.sqrt(mart_var)]
             )
-            g = u.d_mu(cloud.x, cloud.x)
-            hess = u.dy_d_mu(cloud.x, cloud.x)
-            drift = np.einsum("nd,nd->n", b, g)
-            trace = np.einsum("nik,njk,nij->n", s, s, hess)
-            acc += cfg.dt * float(tree_mean(drift + 0.5 * trace))
-            sg = np.einsum("nd,ndk->nk", g, s)
-            mart_var += (
-                cfg.dt
-                * float(tree_mean(np.einsum("nk,nk->n", sg, sg)))
-                / cloud.n
-            )
-            cloud = euler_step(cloud, model, cfg, noise, pool)
-            if cloud.step in checkpoints:
-                rows.append(
-                    [cloud.t, u(cloud.x) - u0 - acc, 3.0 * math.sqrt(mart_var)]
-                )
-    finally:
-        if pool is not None:
-            pool.close()
     return DiagnosticsSeries(
         columns=["t", "R", "band"],
         rows=rows,
@@ -374,19 +370,20 @@ def ito_residual_full(
     The local terms use each tagged particle's own path; the measure terms
     average the companion-cloud coefficients (evaluated under the companion
     cloud's own functional values — it is an independent copy of the same
-    dynamics, simulated on the next noise stream) against v's measure
-    factors taken at the primary cloud's law. The stochastic integral
+    dynamics, drawing its initial law and increments on the pair's second
+    noise purposes) against v's measure factors taken at the primary
+    cloud's law. The stochastic integral
     ∂_x v·σ dw is subtracted with the realized increments, so the residual
     mean across particles is centered; rows report that mean with a 3-sigma
     cross-particle band.
     """
-    noise1 = NoiseStream(cfg.seed, cfg.stream)
-    noise2 = NoiseStream(cfg.seed, cfg.stream + 1)
-    x1 = init.sample(cfg.n_particles, model.dim, noise1)
-    x2 = (init2 or init).sample(cfg.n_particles, model.dim, noise2)
+    noise = NoiseStream(cfg.seed, cfg.stream)
+    x1 = init.sample(cfg.n_particles, model.dim, noise)
+    x2 = (init2 or init).sample(
+        cfg.n_particles, model.dim, noise, purpose=NoiseStream.PURPOSE_INIT2
+    )
     cloud1 = ParticleCloud.create(x1, model, cfg.tracked_levels())
     cloud2 = ParticleCloud.create(x2, model, cfg.tracked_levels())
-    pool = WorkerPool(cfg.threads) if cfg.threads > 1 else None
     checkpoints = set(cfg.checkpoint_steps())
     n = cloud1.n
     fv1 = evaluate_functionals(model.functionals, cloud1.x)
@@ -394,74 +391,79 @@ def ito_residual_full(
     acc = np.zeros(n)
     mart = np.zeros(n)
     rows = [[0.0, 0.0, 0.0]]
-    try:
-        for step in range(cfg.total_steps):
+    for step in range(cfg.total_steps):
+        if fv1 is None:
             fv1 = evaluate_functionals(model.functionals, cloud1.x)
-            fv2 = evaluate_functionals(model.functionals, cloud2.x)
-            t = cloud1.t
-            b1, s1 = evaluate_coefficients(model, t, cloud1.x, fv1, cfg.cut_level)
-            b2, s2 = evaluate_coefficients(model, t, cloud2.x, fv2, cfg.cut_level)
-            dvdx = np.asarray(lyap.dv_dx(t, cloud1.x, fv1), dtype=float)
-            local = (
-                np.asarray(lyap.dv_dt(t, cloud1.x, fv1), dtype=float)
-                + np.einsum("nd,nd->n", b1, dvdx)
-                + 0.5
-                * np.einsum(
-                    "nik,njk,nij->n",
-                    s1,
-                    s1,
-                    np.asarray(lyap.d2v_dx2(t, cloud1.x, fv1), dtype=float),
+        fv2 = evaluate_functionals(model.functionals, cloud2.x)
+        t = cloud1.t
+        b1, s1 = evaluate_coefficients(model, t, cloud1.x, fv1, cfg.cut_level)
+        b2, s2 = evaluate_coefficients(model, t, cloud2.x, fv2, cfg.cut_level)
+        dvdx = np.asarray(lyap.dv_dx(t, cloud1.x, fv1), dtype=float)
+        local = (
+            np.asarray(lyap.dv_dt(t, cloud1.x, fv1), dtype=float)
+            + np.einsum("nd,nd->n", b1, dvdx)
+            + 0.5
+            * np.einsum(
+                "nik,njk,nij->n",
+                s1,
+                s1,
+                np.asarray(lyap.d2v_dx2(t, cloud1.x, fv1), dtype=float),
+            )
+        )
+        measure = np.zeros(n)
+        for factor in lyap.measure_factors:
+            inner = float(
+                tree_mean(
+                    np.einsum(
+                        "md,md->m",
+                        b2,
+                        np.asarray(factor.y_grad(t, cloud2.x, fv1), dtype=float),
+                    )
                 )
             )
-            measure = np.zeros(n)
-            for factor in lyap.measure_factors:
-                inner = float(
+            if factor.y_hess is not None:
+                inner += 0.5 * float(
                     tree_mean(
                         np.einsum(
-                            "md,md->m",
-                            b2,
-                            np.asarray(factor.y_grad(t, cloud2.x, fv1), dtype=float),
+                            "mik,mjk,mij->m",
+                            s2,
+                            s2,
+                            np.asarray(
+                                factor.y_hess(t, cloud2.x, fv1), dtype=float
+                            ),
                         )
                     )
                 )
-                if factor.y_hess is not None:
-                    inner += 0.5 * float(
-                        tree_mean(
-                            np.einsum(
-                                "mik,mjk,mij->m",
-                                s2,
-                                s2,
-                                np.asarray(
-                                    factor.y_hess(t, cloud2.x, fv1), dtype=float
-                                ),
-                            )
-                        )
-                    )
-                measure = measure + np.asarray(
-                    factor.x_part(t, cloud1.x, fv1), dtype=float
-                ) * inner
-            acc += cfg.dt * (local + measure)
-            dw1 = noise1.increments(step, 0, n, model.noise_dim, cfg.dt)
-            mart += np.einsum("nd,ndk,nk->n", dvdx, s1, dw1)
-            cloud1 = euler_step(cloud1, model, cfg, noise1, pool, shared_dw=dw1)
-            cloud2 = euler_step(cloud2, model, cfg, noise2, pool)
-            if cloud1.step in checkpoints:
-                fv_now = evaluate_functionals(model.functionals, cloud1.x)
-                resid = (
-                    np.asarray(lyap.v(cloud1.t, cloud1.x, fv_now), dtype=float)
-                    - v0
-                    - acc
-                    - mart
-                )
-                band = (
-                    3.0 * float(np.std(resid, ddof=1)) / math.sqrt(n)
-                    if n > 1
-                    else 0.0
-                )
-                rows.append([cloud1.t, float(tree_mean(resid)), band])
-    finally:
-        if pool is not None:
-            pool.close()
+            measure = measure + np.asarray(
+                factor.x_part(t, cloud1.x, fv1), dtype=float
+            ) * inner
+        acc += cfg.dt * (local + measure)
+        dw1 = noise.increments(step, 0, n, model.noise_dim, cfg.dt)
+        dw2 = noise.increments(
+            step, 0, n, model.noise_dim, cfg.dt, NoiseStream.PURPOSE_STEP2
+        )
+        mart += np.einsum("nd,ndk,nk->n", dvdx, s1, dw1)
+        cloud1 = euler_step(
+            cloud1, model, cfg, noise, shared_dw=dw1, coefficients=(b1, s1)
+        )
+        cloud2 = euler_step(
+            cloud2, model, cfg, noise, shared_dw=dw2, coefficients=(b2, s2)
+        )
+        fv1 = None
+        if cloud1.step in checkpoints:
+            fv1 = evaluate_functionals(model.functionals, cloud1.x)
+            resid = (
+                np.asarray(lyap.v(cloud1.t, cloud1.x, fv1), dtype=float)
+                - v0
+                - acc
+                - mart
+            )
+            band = (
+                3.0 * float(np.std(resid, ddof=1)) / math.sqrt(n)
+                if n > 1
+                else 0.0
+            )
+            rows.append([cloud1.t, float(tree_mean(resid)), band])
     return DiagnosticsSeries(
         columns=["t", "R", "band"],
         rows=rows,

@@ -87,6 +87,20 @@ class EmpiricalMeasure:
             return self._sorted
         return np.sort(self.samples[:, axis])
 
+    def smallest(self, k: int) -> np.ndarray:
+        """The k smallest values of coordinate 0, ascending.
+
+        Equals ``sorted_axis()[:k]``. A slice of the cached sort when there
+        is one; otherwise a partition at k followed by a sort of those k
+        values only (nothing is cached).
+        """
+        if self._sorted is not None or k >= self.n:
+            return self.sorted_axis()[:k]
+        x = self.samples[:, 0]
+        if k == 0:
+            return x[:0]
+        return np.sort(np.partition(x, k - 1)[:k])
+
     def scalar(self) -> np.ndarray:
         if self.dim != 1:
             raise ValueError(f"operation requires d=1 samples, got d={self.dim}")
@@ -128,14 +142,15 @@ def expected_shortfall(mu, alpha: float) -> float:
     mu = _as_measure(mu)
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"shortfall level must lie in (0, 1], got {alpha}")
-    xs = mu.sorted_axis()
     n = mu.n
     an = alpha * n
     m = int(math.floor(an + _LEVEL_EPS * n))
     m = min(m, n)
-    total = float(tree_sum(xs[:m])) / n if m else 0.0
     frac = an - m
-    if frac > _LEVEL_EPS * n and m < n:
+    partial = frac > _LEVEL_EPS * n and m < n
+    xs = mu.smallest(m + 1 if partial else m)
+    total = float(tree_sum(xs[:m])) / n if m else 0.0
+    if partial:
         total += frac / n * float(xs[m])
     return total / alpha
 

@@ -14,6 +14,7 @@ so a particle that leaves its box freezes where it lands.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,12 +25,27 @@ __all__ = [
     "MeasureFunctionalTag",
     "ModelSpec",
     "evaluate_coefficients",
+    "ladder_level",
 ]
 
 
 # ---------------------------------------------------------------------------
 # domain ladders
 # ---------------------------------------------------------------------------
+
+
+def ladder_level(k) -> int:
+    """``k`` as an integer ladder index; integral floats such as 4.0 pass.
+
+    The ladder D_1 ⊂ D_2 ⊂ … is indexed by integers, so 2.5 is rejected
+    rather than truncated to D_2.
+    """
+    if isinstance(k, (int, np.integer)):
+        return int(k)
+    if not float(k).is_integer():
+        raise ValueError(f"ladder level must be an integer, got {k!r}")
+    return int(k)
+
 
 _REGION_KINDS = ("full-space", "open-box", "positive-orthant")
 
@@ -40,7 +56,8 @@ class DomainLadder:
 
     ``lower``/``upper`` are the per-axis bounds of D (±inf allowed, bounds
     are open where finite). ``rule`` maps a ladder level k ≥ 1 to the closed
-    box D_k as a pair of (d,) arrays.
+    box D_k as a pair of (d,) arrays; it must be pure, since each level's
+    box is built once and kept.
     """
 
     dim: int
@@ -48,6 +65,7 @@ class DomainLadder:
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     rule: Callable[[int], tuple[np.ndarray, np.ndarray]]
+    _boxes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _REGION_KINDS:
@@ -95,10 +113,17 @@ class DomainLadder:
     # -- membership --------------------------------------------------------
 
     def box(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The closed box D_k as read-only (lower, upper) arrays."""
+        k = ladder_level(k)
         if k < 1:
             raise ValueError("ladder level must be >= 1")
-        lo, hi = self.rule(int(k))
-        return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        cached = self._boxes.get(k)
+        if cached is None:
+            cached = tuple(np.array(end, dtype=float) for end in self.rule(k))
+            for end in cached:
+                end.flags.writeable = False
+            self._boxes[k] = cached
+        return cached
 
     def contains(self, x: np.ndarray, k: int | None = None) -> np.ndarray:
         """Membership mask for positions ``x`` of shape (N, d).
@@ -111,16 +136,16 @@ class DomainLadder:
             x = x[:, None]
         if k is not None:
             lo, hi = self.box(k)
+            if self.dim == 1 and x.shape[1] == 1:
+                col = x[:, 0]
+                return (col >= lo[0]) & (col <= hi[0])
             return np.all((x >= lo) & (x <= hi), axis=1)
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
         ok = np.ones(x.shape[0], dtype=bool)
-        finite_lo = np.isfinite(lo)
-        finite_hi = np.isfinite(hi)
-        if finite_lo.any():
-            ok &= np.all(x[:, finite_lo] > lo[finite_lo], axis=1)
-        if finite_hi.any():
-            ok &= np.all(x[:, finite_hi] < hi[finite_hi], axis=1)
+        for a, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            if math.isfinite(lo):
+                ok &= x[:, a] > lo
+            if math.isfinite(hi):
+                ok &= x[:, a] < hi
         return ok
 
     def validate_ladder(self, k_max: int = 64) -> None:
@@ -284,8 +309,14 @@ def evaluate_coefficients(
     with np.errstate(all="ignore"):
         b = np.asarray(model.drift(t, x, fv), dtype=float)
         s = np.asarray(model.diffusion(t, x, fv), dtype=float)
-    b = np.broadcast_to(b, (x.shape[0], model.dim)).copy()
-    s = np.broadcast_to(s, (x.shape[0], model.dim, model.noise_dim)).copy()
+    # broadcast only what the model returned short: broadcast_to has a
+    # fixed cost of microseconds per call
+    shape_b = (x.shape[0], model.dim)
+    shape_s = (*shape_b, model.noise_dim)
+    if b.shape != shape_b:
+        b = np.broadcast_to(b, shape_b)
+    if s.shape != shape_s:
+        s = np.broadcast_to(s, shape_s)
 
     bad = alive & ~(
         np.isfinite(b).all(axis=1) & np.isfinite(s).all(axis=(1, 2))
@@ -296,6 +327,4 @@ def evaluate_coefficients(
             f"model {model.name!r}: non-finite coefficient at in-domain "
             f"point x={x[i]} (t={t})"
         )
-    b[~alive] = 0.0
-    s[~alive] = 0.0
-    return b, s
+    return np.where(alive[:, None], b, 0.0), np.where(alive[:, None, None], s, 0.0)

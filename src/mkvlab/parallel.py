@@ -76,8 +76,19 @@ def tree_sum(values: np.ndarray, pool: "WorkerPool | None" = None):
     n = values.shape[0]
     if n == 0:
         return np.zeros(values.shape[1:], dtype=values.dtype)
+    parallel = pool is not None and pool.threads > 1 and n > BLOCK
+    flat = values.ndim == 1 and values.flags.c_contiguous
+    if not parallel and flat and values.dtype == np.float64:
+        # The full blocks as the rows of one array: numpy sums each row
+        # exactly as it sums that block alone, in one call instead of one
+        # per block. Python floats add as float64 scalars do.
+        full = n - n % BLOCK
+        parts = values[:full].reshape(-1, BLOCK).sum(axis=1).tolist()
+        if full < n:
+            parts.append(float(values[full:].sum()))
+        return np.float64(_pairwise_fold(parts))
     slices = block_slices(n)
-    if pool is not None and pool.threads > 1 and len(slices) > 1:
+    if parallel:
         parts = pool.map_ordered(lambda s: values[s].sum(axis=0), slices)
     else:
         parts = [values[s].sum(axis=0) for s in slices]

@@ -16,7 +16,10 @@ pin the two modes to bit-identical trajectories.
 
 Every random number is a pure function of (seed, stream, purpose, step,
 particle, axis), with no generator state carried across calls, so results
-are bit-identical across worker counts and across restarts.
+are bit-identical across worker counts and across restarts. Gaussian
+increments are numpy's ziggurat on a Philox generator keyed by (seed,
+stream|purpose|step): prefix-stable over particles, and byte-reproducible
+for a given numpy version (see ``NoiseStream``).
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .measure import evaluate_functionals
-from .model import ModelSpec, evaluate_coefficients
+from .model import ModelSpec, evaluate_coefficients, ladder_level
 from .parallel import WorkerPool, tree_mean
 
 __all__ = [
@@ -75,6 +77,88 @@ def kappa_n(t: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# counter-based noise
+# ---------------------------------------------------------------------------
+
+
+class NoiseStream:
+    """Stateless Gaussian/uniform noise addressed by integer coordinates.
+
+    Each scalar draw is a pure function of (seed, stream, purpose, step,
+    particle, axis). Every (purpose, step) pair keys its own Philox counter
+    generator with (seed, stream|purpose|step), so no generator state is
+    carried between calls.
+
+    * ``normals`` are numpy's ziggurat (``Generator.standard_normal``) on
+      that key, laid out row-major over (particle, axis). The ziggurat
+      consumes a variable number of raw words per draw, so normals are
+      *prefix-stable* rather than random-access: the first k rows never
+      depend on how many rows were asked for, and a nonzero
+      ``start_particle`` draws the rows before it and slices them off.
+      They are byte-reproducible for a given numpy version only
+      (``standard_normal`` is outside numpy's raw-bit-stream guarantee).
+    * ``uniforms`` stay random-access: the raw 64-bit word at flat offset
+      particle·width + axis maps to (0, 1) via ((raw >> 11) + 0.5)·2⁻⁵³.
+
+    Either way values never depend on which worker produced neighbouring
+    blocks. Purposes 2 and 3 belong to the second cloud of a pair (coupled
+    runs, the Itô companion), so two clouds never share a draw by accident.
+    """
+
+    PURPOSE_STEP = 0
+    PURPOSE_INIT = 1
+    PURPOSE_INIT2 = 2
+    PURPOSE_STEP2 = 3
+
+    def __init__(self, seed: int, stream: int = 0):
+        self.seed = int(seed) & _U64
+        if not 0 <= stream < 256:
+            raise ValueError("stream id must be in [0, 256)")
+        self.stream = stream
+
+    def _generator(self, purpose: int, step: int) -> np.random.Generator:
+        if not 0 <= purpose < 256:
+            raise ValueError("purpose id must be in [0, 256)")
+        if step < 0 or step >= 1 << 48:
+            raise ValueError("step index out of the 48-bit key range")
+        word = (self.stream << 56) | (purpose << 48) | step
+        key = np.array([self.seed, word], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    def _raw(self, purpose: int, step: int, start: int, count: int) -> np.ndarray:
+        gen = self._generator(purpose, step)
+        # Philox yields 4 raw words per counter increment; position the
+        # counter at the enclosing multiple of 4 and discard the remainder.
+        gen.bit_generator.advance(start // 4)
+        skip = start % 4
+        raw = gen.integers(
+            0, 1 << 64, size=skip + count, dtype=np.uint64, endpoint=False
+        )
+        return raw[skip:]
+
+    def uniforms(self, purpose, step, start_particle, count, width) -> np.ndarray:
+        """Strictly-interior (0,1) uniforms, shape (count, width)."""
+        raw = self._raw(purpose, step, start_particle * width, count * width)
+        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        return u.reshape(count, width)
+
+    def normals(self, purpose, step, start_particle, count, width) -> np.ndarray:
+        """Standard normals, shape (count, width) (ziggurat, prefix-stable)."""
+        z = self._generator(purpose, step).standard_normal(
+            (start_particle + count, width)
+        )
+        return z[start_particle:]
+
+    def increments(
+        self, step, start_particle, count, width, dt, purpose=PURPOSE_STEP
+    ) -> np.ndarray:
+        """Brownian increments √Δt·z for one Euler step."""
+        dw = self.normals(purpose, step, start_particle, count, width)
+        dw *= math.sqrt(dt)
+        return dw
+
+
+# ---------------------------------------------------------------------------
 # configuration and initial laws
 # ---------------------------------------------------------------------------
 
@@ -86,14 +170,15 @@ class SimConfig:
     ``steps_per_unit`` is the grid density n (Δt = 1/n); ``cut_level`` is
     the localization level k; ``exit_levels`` lists the ladder levels m ≤ k
     whose first-exit steps are tracked (the cut level itself is always
-    tracked). ``threads`` is the resolved worker count — it influences
+    tracked). Levels are integers: integral floats are converted, anything
+    else is rejected. ``threads`` is the resolved worker count — it influences
     scheduling only, never results.
     """
 
     n_particles: int
     horizon: float
     steps_per_unit: int
-    cut_level: float
+    cut_level: int
     seed: int
     exit_levels: tuple = ()
     lag: str = "none"
@@ -108,11 +193,13 @@ class SimConfig:
             raise ValueError("steps_per_unit must be >= 1")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.cut_level < 1:
+        cut = ladder_level(self.cut_level)
+        if cut < 1:
             raise ValueError("cut level must be >= 1")
+        object.__setattr__(self, "cut_level", cut)
         if self.lag not in LAG_MODES:
             raise ValueError(f"lag must be one of {LAG_MODES}, got {self.lag!r}")
-        levels = tuple(int(m) for m in self.exit_levels)
+        levels = tuple(ladder_level(m) for m in self.exit_levels)
         if list(levels) != sorted(set(levels)):
             raise ValueError("exit levels must be sorted and unique")
         if any(m < 1 or m > self.cut_level for m in levels):
@@ -150,7 +237,14 @@ class SimConfig:
 class InitialLaw:
     """Base class of initial distributions for the particle cloud."""
 
-    def sample(self, n: int, dim: int, noise: "NoiseStream") -> np.ndarray:
+    def sample(
+        self,
+        n: int,
+        dim: int,
+        noise: NoiseStream,
+        purpose: int = NoiseStream.PURPOSE_INIT,
+    ) -> np.ndarray:
+        """Draw n initial positions; random laws use ``noise`` on ``purpose``."""
         raise NotImplementedError
 
 
@@ -163,7 +257,7 @@ class PointMass(InitialLaw):
             point = (float(point),)
         object.__setattr__(self, "point", tuple(float(c) for c in point))
 
-    def sample(self, n, dim, noise):
+    def sample(self, n, dim, noise, purpose=NoiseStream.PURPOSE_INIT):
         if len(self.point) != dim:
             raise ValueError(
                 f"point mass has dim {len(self.point)}, model has dim {dim}"
@@ -186,12 +280,12 @@ class UniformBox(InitialLaw):
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    def sample(self, n, dim, noise):
+    def sample(self, n, dim, noise, purpose=NoiseStream.PURPOSE_INIT):
         if len(self.lower) != dim:
             raise ValueError(
                 f"box has dim {len(self.lower)}, model has dim {dim}"
             )
-        u = noise.uniforms(NoiseStream.PURPOSE_INIT, 0, 0, n, dim)
+        u = noise.uniforms(purpose, 0, 0, n, dim)
         lo = np.array(self.lower)
         hi = np.array(self.upper)
         return lo + (hi - lo) * u
@@ -213,7 +307,7 @@ class Samples(InitialLaw):
             raise ValueError("initial samples must be finite")
         object.__setattr__(self, "samples", arr)
 
-    def sample(self, n, dim, noise):
+    def sample(self, n, dim, noise, purpose=NoiseStream.PURPOSE_INIT):
         if self.samples.shape != (n, dim):
             raise ValueError(
                 f"initial sample file holds shape {self.samples.shape}, "
@@ -228,65 +322,6 @@ def load_initial_samples(path) -> Samples:
     if arr.size == 0:
         raise ValueError(f"no samples in {path}")
     return Samples(arr)
-
-
-# ---------------------------------------------------------------------------
-# counter-based noise
-# ---------------------------------------------------------------------------
-
-
-class NoiseStream:
-    """Stateless Gaussian/uniform noise addressed by integer coordinates.
-
-    Each scalar draw is a pure function of (seed, stream, purpose, step,
-    particle, axis). Internally a Philox counter generator is keyed by
-    (seed, stream|purpose|step) and its raw 64-bit word at flat offset
-    particle·width + axis is mapped to (0, 1) via ((raw >> 11) + 0.5)·2⁻⁵³
-    and, for normals, through the inverse standard-normal CDF. Any block of
-    particles can be generated independently — values never depend on which
-    worker produced neighbouring blocks.
-    """
-
-    PURPOSE_STEP = 0
-    PURPOSE_INIT = 1
-
-    def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed) & _U64
-        if not 0 <= stream < 256:
-            raise ValueError("stream id must be in [0, 256)")
-        self.stream = stream
-
-    def _raw(self, purpose: int, step: int, start: int, count: int) -> np.ndarray:
-        if not 0 <= purpose < 256:
-            raise ValueError("purpose id must be in [0, 256)")
-        if step < 0 or step >= 1 << 48:
-            raise ValueError("step index out of the 48-bit key range")
-        word = (self.stream << 56) | (purpose << 48) | step
-        key = np.array([self.seed, word], dtype=np.uint64)
-        bg = np.random.Philox(key=key)
-        # Philox yields 4 raw words per counter increment; position the
-        # counter at the enclosing multiple of 4 and discard the remainder.
-        bg.advance(start // 4)
-        skip = start % 4
-        raw = np.random.Generator(bg).integers(
-            0, 1 << 64, size=skip + count, dtype=np.uint64, endpoint=False
-        )
-        return raw[skip:]
-
-    def uniforms(self, purpose, step, start_particle, count, width) -> np.ndarray:
-        """Strictly-interior (0,1) uniforms, shape (count, width)."""
-        raw = self._raw(purpose, step, start_particle * width, count * width)
-        u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-        return u.reshape(count, width)
-
-    def normals(self, purpose, step, start_particle, count, width) -> np.ndarray:
-        """Standard normals, shape (count, width)."""
-        return ndtri(self.uniforms(purpose, step, start_particle, count, width))
-
-    def increments(self, step, start_particle, count, width, dt) -> np.ndarray:
-        """Brownian increments √Δt·z for one Euler step."""
-        z = self.normals(self.PURPOSE_STEP, step, start_particle, count, width)
-        return math.sqrt(dt) * z
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +352,28 @@ class ParticleCloud:
         for m in levels:
             rec = np.full(x0.shape[0], -1, dtype=np.int64)
             rec[~model.ladder.contains(x0, m)] = 0
-            exit_step[float(m)] = rec
+            exit_step[ladder_level(m)] = rec
         return ParticleCloud(x=x0, t=0.0, step=0, exit_step=exit_step)
 
     @property
     def n(self) -> int:
         return self.x.shape[0]
 
-    def exit_fraction(self, m: float) -> float:
-        rec = self.exit_step[float(m)]
+    def exit_fraction(self, m: int) -> float:
+        rec = self.exit_step[m]
         return float(np.count_nonzero(rec >= 0)) / rec.shape[0]
 
     def update_exits(self, model: ModelSpec, step: int) -> None:
-        for m, rec in self.exit_step.items():
+        """Stamp ``step`` on particles seen outside D_m for the first time.
+
+        Record arrays are never written in place: a level's array is
+        replaced only when some particle exits, so clouds that share records
+        (a step's input and output) never see each other's updates.
+        """
+        for m, rec in list(self.exit_step.items()):
             fresh = (rec < 0) & ~model.ladder.contains(self.x, m)
-            rec[fresh] = step
+            if fresh.any():
+                self.exit_step[m] = np.where(fresh, step, rec)
 
 
 # ---------------------------------------------------------------------------
@@ -339,23 +381,36 @@ class ParticleCloud:
 # ---------------------------------------------------------------------------
 
 
+def _displace(x, b, s, dw, dt) -> np.ndarray:
+    """One Euler displacement x + b·Δt + σ·Δw, row by row."""
+    # overflow here *is* the blow-up; the caller turns the resulting
+    # non-finite positions into a typed error, so the warning is noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = x + b * dt
+        if s.shape[1:] == (1, 1):
+            # einsum sums its one product onto +0.0, which turns a −0.0
+            # product into +0.0; adding 0.0 keeps this path bit-identical
+            kick = s[:, :, 0] * dw
+            kick += 0.0
+            out += kick
+        else:
+            out += np.einsum("ndk,nk->nd", s, dw)
+    return out
+
+
 def _advance_positions(model, cfg, cloud, fv, dw, pool) -> np.ndarray:
-    """One Euler displacement x + b·Δt + σ·Δw with localized coefficients."""
+    """Positions after one step, with localized coefficients at (t, x, fv)."""
     t = cloud.step / cfg.steps_per_unit
-    dt = cfg.dt
+    if pool is None or pool.threads <= 1:
+        b, s = evaluate_coefficients(model, t, cloud.x, fv, cfg.cut_level)
+        return _displace(cloud.x, b, s, dw, cfg.dt)
     out = np.empty_like(cloud.x)
 
     def block(sl):
         b, s = evaluate_coefficients(model, t, cloud.x[sl], fv, cfg.cut_level)
-        # overflow here *is* the blow-up; the caller turns the resulting
-        # non-finite positions into a typed error, so the warning is noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[sl] = cloud.x[sl] + b * dt + np.einsum("ndk,nk->nd", s, dw[sl])
+        out[sl] = _displace(cloud.x[sl], b, s, dw[sl], cfg.dt)
 
-    if pool is not None and pool.threads > 1:
-        pool.run_blocks(block, cloud.n)
-    else:
-        block(slice(0, cloud.n))
+    pool.run_blocks(block, cloud.n)
     return out
 
 
@@ -366,21 +421,32 @@ def euler_step(
     noise: NoiseStream,
     pool: WorkerPool | None = None,
     shared_dw: np.ndarray | None = None,
+    fv: dict | None = None,
+    coefficients: tuple | None = None,
 ) -> ParticleCloud:
-    """Advance the cloud one grid step (t_i → t_{i+1}).
+    """Advance the cloud one grid step (t_i → t_{i+1}); ``cloud`` is untouched.
 
     Functional values are reduced once from the pre-step cloud; both lag
     flags evaluate coefficients at the left-endpoint state (see module
     docstring). Exit records update after the move. ``shared_dw`` lets two
     coupled clouds consume identical increments.
+
+    A caller that already holds the pre-step functional values ``fv``, or
+    the cut coefficients ``coefficients`` = (b, σ) from
+    ``evaluate_coefficients(model, cloud.t, cloud.x, fv, cfg.cut_level)``,
+    passes them in instead of having them evaluated a second time.
     """
-    fv = evaluate_functionals(model.functionals, cloud.x)
     dw = shared_dw
     if dw is None:
         dw = noise.increments(
             cloud.step, 0, cloud.n, model.noise_dim, cfg.dt
         )
-    x_new = _advance_positions(model, cfg, cloud, fv, dw, pool)
+    if coefficients is not None:
+        x_new = _displace(cloud.x, *coefficients, dw, cfg.dt)
+    else:
+        if fv is None:
+            fv = evaluate_functionals(model.functionals, cloud.x)
+        x_new = _advance_positions(model, cfg, cloud, fv, dw, pool)
     if not np.isfinite(x_new).all():
         i = int(np.argmax(~np.isfinite(x_new).all(axis=1)))
         t_next = (cloud.step + 1) / cfg.steps_per_unit
@@ -394,7 +460,7 @@ def euler_step(
         x=x_new,
         t=(cloud.step + 1) / cfg.steps_per_unit,
         step=cloud.step + 1,
-        exit_step={m: rec.copy() for m, rec in cloud.exit_step.items()},
+        exit_step=dict(cloud.exit_step),
     )
     nxt.update_exits(model, nxt.step)
     return nxt
@@ -543,7 +609,9 @@ def simulate(
             if keep_snapshots:
                 snapshots.append((cloud.t, cloud.x.copy()))
         for i in range(cfg.total_steps):
-            cloud = euler_step(cloud, model, cfg, noise, pool)
+            # fv is reused when it was reduced from this very state
+            cloud = euler_step(cloud, model, cfg, noise, pool, fv=fv)
+            fv = None
             if cloud.step in marks:
                 fv = evaluate_functionals(model.functionals, cloud.x)
                 rec.record(cloud, fv)
@@ -578,23 +646,19 @@ def coupled_simulate(
     x1 = init1.sample(cfg.n_particles, model.dim, noise)
     # A distinct purpose id keeps the second cloud's *initial* draw
     # independent while step noise stays shared.
-    init_noise2 = NoiseStream(cfg.seed, cfg.stream)
-    if isinstance(init2, UniformBox):
-        u = noise.uniforms(2, 0, 0, cfg.n_particles, model.dim)
-        lo, hi = np.array(init2.lower), np.array(init2.upper)
-        x2 = lo + (hi - lo) * u
-    else:
-        x2 = init2.sample(cfg.n_particles, model.dim, init_noise2)
+    x2 = init2.sample(
+        cfg.n_particles, model.dim, noise, purpose=NoiseStream.PURPOSE_INIT2
+    )
 
     levels = cfg.tracked_levels()
     clouds = [
         ParticleCloud.create(x1, model, levels),
         ParticleCloud.create(x2, model, levels),
     ]
+    fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
     recs = []
     metas = []
-    for j, cloud in enumerate(clouds):
-        fv = evaluate_functionals(model.functionals, cloud.x)
+    for j, (cloud, fv) in enumerate(zip(clouds, fvs)):
         ev0 = 0.0
         if lyap is not None:
             ev0 = float(
@@ -619,20 +683,20 @@ def coupled_simulate(
     pool = WorkerPool(cfg.threads) if cfg.threads > 1 else None
     try:
         if 0 in marks:
-            for cloud, r in zip(clouds, recs):
-                r.record(cloud, evaluate_functionals(model.functionals, cloud.x))
+            for cloud, r, fv in zip(clouds, recs, fvs):
+                r.record(cloud, fv)
             dist_rows.append([0.0] + distance(*clouds))
         for i in range(cfg.total_steps):
             dw = noise.increments(i, 0, cfg.n_particles, model.noise_dim, cfg.dt)
             clouds = [
-                euler_step(c, model, cfg, noise, pool, shared_dw=dw)
-                for c in clouds
+                euler_step(c, model, cfg, noise, pool, shared_dw=dw, fv=fv)
+                for c, fv in zip(clouds, fvs)
             ]
+            fvs = [None, None]
             if clouds[0].step in marks:
-                for cloud, r in zip(clouds, recs):
-                    r.record(
-                        cloud, evaluate_functionals(model.functionals, cloud.x)
-                    )
+                fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
+                for cloud, r, fv in zip(clouds, recs, fvs):
+                    r.record(cloud, fv)
                 dist_rows.append([clouds[0].t] + distance(*clouds))
     finally:
         if pool is not None:

@@ -112,6 +112,27 @@ def test_parse_errors_name_line_and_key(text, fragment):
     assert fragment in str(exc.value)
 
 
+def test_ladder_levels_parse_as_integers():
+    rc = parse_config("sim.cut_level = 4.0\nsim.exit_levels = 1 2.0\n")
+    assert rc.cut_level == 4 and isinstance(rc.cut_level, int)
+    assert rc.exit_levels == (1, 2)
+    assert "sim.cut_level = 4\n" in serialize_config(rc)
+    for text in ("sim.cut_level = 2.5\n", "sim.exit_levels = 1.5\n", "sim.cut_level = inf\n"):
+        with pytest.raises(ConfigError, match="integer"):
+            parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "levels", ["sim.cut_level = 2.5", "sim.cut_level = 3\nsim.exit_levels = 1.5"]
+)
+def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
+    cfg = write_cfg(tmp_path, SIM_CFG.replace("sim.cut_level = 4.0", levels))
+    out = tmp_path / "frac"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "ladder level must be an integer" in capsys.readouterr().err
+    assert not (out / "diagnostics.csv").exists()
+
+
 def test_scenario_parameters_parse_as_floats():
     rc = parse_config("scenario.name = example2-nonlinear\nscenario.alpha = -0.25\n")
     assert rc.scenario_params == {"alpha": -0.25}

@@ -1,6 +1,7 @@
 """Lifted measure derivatives and the Itô-expansion residual tests."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +20,19 @@ from mkvlab.lions import (
     registry_function,
 )
 from mkvlab.lyapunov import LyapunovSpec, Rate
+from mkvlab.measure import evaluate_functionals
+from mkvlab.model import evaluate_coefficients
+from mkvlab.parallel import tree_mean
 from mkvlab.scenarios import builtin_scenario
-from mkvlab.simulate import PointMass, Samples, SimConfig, UniformBox
+from mkvlab.simulate import (
+    NoiseStream,
+    ParticleCloud,
+    PointMass,
+    Samples,
+    SimConfig,
+    UniformBox,
+    euler_step,
+)
 
 
 def rng_cloud(n=20, scale=1.5, seed=7):
@@ -161,6 +173,45 @@ def test_measure_residual_sits_inside_its_band():
     assert final[2] < 0.5  # the band itself is tight at this N
 
 
+def residual_rows_by_recomputing(u, model, cfg, init):
+    """ito_residual_measure's loop with euler_step left to evaluate the
+    functionals and coefficients a second time on its own."""
+    noise = NoiseStream(cfg.seed, cfg.stream)
+    cloud = ParticleCloud.create(
+        init.sample(cfg.n_particles, model.dim, noise), model, cfg.tracked_levels()
+    )
+    checkpoints = set(cfg.checkpoint_steps())
+    u0, acc, mart_var = u(cloud.x), 0.0, 0.0
+    rows = [[0.0, 0.0, 0.0]]
+    for _ in range(cfg.total_steps):
+        fv = evaluate_functionals(model.functionals, cloud.x)
+        b, s = evaluate_coefficients(model, cloud.t, cloud.x, fv, cfg.cut_level)
+        g = u.d_mu(cloud.x, cloud.x)
+        hess = u.dy_d_mu(cloud.x, cloud.x)
+        drift = np.einsum("nd,nd->n", b, g)
+        trace = np.einsum("nik,njk,nij->n", s, s, hess)
+        acc += cfg.dt * float(tree_mean(drift + 0.5 * trace))
+        sg = np.einsum("nd,ndk->nk", g, s)
+        mart_var += cfg.dt * float(tree_mean(np.einsum("nk,nk->n", sg, sg))) / cloud.n
+        cloud = euler_step(cloud, model, cfg, noise)
+        if cloud.step in checkpoints:
+            rows.append([cloud.t, u(cloud.x) - u0 - acc, 3.0 * math.sqrt(mart_var)])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "name, init",
+    [("example1-quartic", UniformBox(-2.5, 2.5)), ("example3-cir", UniformBox(0.2, 3.0))],
+)
+def test_measure_residual_equals_the_recomputing_loop(name, init):
+    # the cut at level 2 freezes part of the cloud, so zeroed rows count too
+    sc = builtin_scenario(name)
+    cfg = SimConfig(n_particles=500, horizon=0.2, steps_per_unit=100, cut_level=2, seed=4)
+    u = registry_function("moment2")
+    series = ito_residual_measure(u, sc.model, cfg, init)
+    assert repr(series.rows) == repr(residual_rows_by_recomputing(u, sc.model, cfg, init))
+
+
 def test_measure_residual_requires_derivatives():
     plain = MeasureFunction("opaque", fn=lambda x: float(np.mean(x)))
     sc = builtin_scenario("example1-quartic")
@@ -223,3 +274,14 @@ def test_full_residual_with_measure_terms_is_centered(seed):
     )
     final = series.rows[-1]
     assert abs(final[1]) <= final[2], (final[1], final[2])
+
+
+def test_full_residual_runs_on_the_last_stream():
+    # the companion cloud draws on its own purposes, not on stream + 1
+    sc = builtin_scenario("example2-nonlinear")
+    cfg = SimConfig(
+        n_particles=40, horizon=0.1, steps_per_unit=20, cut_level=4, seed=2, stream=255
+    )
+    series = ito_residual_full(sc.lyap, sc.model, cfg, UniformBox(-0.5, 0.5))
+    assert len(series.rows) == len(cfg.checkpoint_steps())
+    assert all(math.isfinite(v) for row in series.rows for v in row)

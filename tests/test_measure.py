@@ -1,9 +1,13 @@
 """Empirical-measure functionals and the transport distances between clouds."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mkvlab.measure import (
     EmpiricalMeasure,
@@ -18,6 +22,7 @@ from mkvlab.measure import (
     wasserstein_p_1d,
 )
 from mkvlab.model import MeasureFunctionalTag
+from mkvlab.parallel import tree_sum
 
 
 def cloud(*values):
@@ -119,6 +124,61 @@ def test_shortfall_never_exceeds_the_mean():
         x = rng.normal(size=(23, 1))
         for alpha in (0.1, 0.3, 0.8):
             assert expected_shortfall(x, alpha) <= x.mean() + 1e-12
+
+
+def shortfall_by_full_sort(x, alpha):
+    """The module docstring's ES formula over a full sort of the samples."""
+    xs = np.sort(x)
+    n = xs.size
+    an = alpha * n
+    m = min(int(math.floor(an + 1e-9 * n)), n)
+    total = float(tree_sum(xs[:m])) / n if m else 0.0
+    frac = an - m
+    if frac > 1e-9 * n and m < n:
+        total += frac / n * float(xs[m])
+    return total / alpha
+
+
+def assert_shortfall_matches_full_sort(x, alpha):
+    want = shortfall_by_full_sort(x, alpha)
+    fresh = expected_shortfall(x[:, None], alpha)  # partition path
+    mu = EmpiricalMeasure(x[:, None])
+    mu.sorted_axis()
+    cached = expected_shortfall(mu, alpha)  # cached-sort path
+    assert repr(fresh) == repr(want) and repr(cached) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_partition_shortfall_equals_the_full_sort(data):
+    n = data.draw(st.integers(1, 3000), label="n")
+    atoms = data.draw(hnp.arrays(np.int64, n, elements=st.integers(-6, 6)))
+    jitter = data.draw(st.sampled_from([0.0, 1e-3]), label="jitter")
+    wiggle = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    # many ties; + 0.0 turns −0.0 into 0.0 (equal values, but sorts may
+    # order the two zeros either way, which would change a zero sum's sign)
+    x = atoms * 0.37 + jitter * wiggle + 0.0
+    case = data.draw(
+        st.sampled_from(["any", "alpha_n_integer", "m_is_0", "m_is_n_minus_1"]),
+        label="case",
+    )
+    if case == "alpha_n_integer":
+        alpha = data.draw(st.integers(1, n)) / n
+    elif case == "m_is_0":
+        alpha = data.draw(st.floats(1e-3, 0.999)) / n
+    elif case == "m_is_n_minus_1":
+        alpha = (n - 1 + data.draw(st.floats(1e-3, 0.999))) / n
+    else:
+        alpha = data.draw(st.floats(1e-4, 1.0))
+    assert_shortfall_matches_full_sort(x, alpha)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1025, 3001])
+def test_partition_shortfall_edge_levels(n):
+    x = np.random.Generator(np.random.Philox(n)).integers(-4, 5, n) * 0.5 + 0.0
+    for alpha in (0.5 / n, 1.0 / n, (n - 1) / n, (n - 0.5) / n, 1.0):
+        if alpha > 0:
+            assert_shortfall_matches_full_sort(x, alpha)
 
 
 def test_shortfall_is_transport_lipschitz():

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from mkvlab.model import DomainLadder, ModelSpec
+from mkvlab.measure import evaluate_functionals
+from mkvlab.model import DomainLadder, ModelSpec, evaluate_coefficients
 from mkvlab.scenarios import builtin_scenario
 from mkvlab.simulate import (
     BlowUpError,
@@ -16,6 +18,7 @@ from mkvlab.simulate import (
     Samples,
     SimConfig,
     UniformBox,
+    _displace,
     coupled_simulate,
     euler_step,
     kappa_n,
@@ -60,6 +63,28 @@ def test_config_validation():
         small_cfg(exit_levels=(5,), cut_level=4.0)
     with pytest.raises(ValueError):
         small_cfg(threads=0)
+
+
+def test_ladder_levels_are_integers():
+    cfg = small_cfg(cut_level=4.0, exit_levels=(2.0,))
+    assert cfg.cut_level == 4 and isinstance(cfg.cut_level, int)
+    assert cfg.tracked_levels() == (2, 4)
+    assert all(isinstance(m, int) for m in cfg.tracked_levels())
+    for bad in ({"cut_level": 2.5}, {"exit_levels": (1.5,)}, {"cut_level": math.inf}):
+        with pytest.raises(ValueError, match="integer"):
+            small_cfg(**bad)
+    ladder = DomainLadder.full_space(1)
+    with pytest.raises(ValueError, match="integer"):
+        ladder.box(2.5)
+    with pytest.raises(ValueError, match="integer"):
+        ladder.contains(np.array([[2.2]]), 2.5)
+    assert ladder.contains(np.array([[2.2]]), 3.0).tolist() == [True]
+    assert ladder.contains(np.array([[2.2]]), 2).tolist() == [False]
+    # each level's box is built once and cannot be edited through a caller
+    lo, _ = ladder.box(3)
+    assert ladder.box(3.0)[0] is lo
+    with pytest.raises(ValueError):
+        lo[0] = 0.0
 
 
 def test_config_grid_arithmetic():
@@ -147,6 +172,22 @@ def test_noise_blocks_are_position_independent():
     whole = ns.uniforms(0, 7, 0, 10, 3)
     parts = np.vstack([ns.uniforms(0, 7, 0, 4, 3), ns.uniforms(0, 7, 4, 6, 3)])
     assert np.array_equal(whole, parts)
+    # normals are prefix-stable: a later block equals the tail of a longer draw
+    whole = ns.normals(0, 7, 0, 10, 3)
+    parts = np.vstack([ns.normals(0, 7, 0, 4, 3), ns.normals(0, 7, 4, 6, 3)])
+    assert np.array_equal(whole, parts)
+    assert np.array_equal(whole[4:], ns.normals(0, 7, 4, 6, 3))
+    assert np.array_equal(whole[:4], ns.normals(0, 7, 0, 4, 3))
+
+
+def test_normals_are_standard_gaussian():
+    # 1e5 draws at a fixed key; bounds: five standard errors for the mean
+    # and the variance, and the 1% critical value of the KS statistic
+    n = 100_000
+    z = NoiseStream(2024).normals(NoiseStream.PURPOSE_STEP, 0, 0, n, 1)[:, 0]
+    assert abs(float(np.mean(z))) < 5.0 / math.sqrt(n)
+    assert abs(float(np.var(z)) - 1.0) < 5.0 * math.sqrt(2.0 / n)
+    assert stats.kstest(z, "norm").statistic < 1.63 / math.sqrt(n)
 
 
 def test_noise_coordinates_separate_draws():
@@ -180,6 +221,10 @@ def test_noise_key_ranges_are_enforced():
         NoiseStream(0)._raw(256, 0, 0, 1)
     with pytest.raises(ValueError):
         NoiseStream(0)._raw(0, -1, 0, 1)
+    with pytest.raises(ValueError):
+        NoiseStream(0).normals(256, 0, 0, 1, 1)
+    with pytest.raises(ValueError):
+        NoiseStream(0).increments(1 << 48, 0, 1, 1, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +243,54 @@ def test_one_euler_step_arithmetic():
     # same step with an explicit increment adds σ·Δw = (x/√2)·Δw
     pushed = euler_step(cloud, sc.model, cfg, NoiseStream(0), shared_dw=np.array([[0.2]]))
     assert pushed.x[0, 0] == pytest.approx(0.9 + 0.2 / math.sqrt(2.0), rel=1e-15)
+
+
+def test_scalar_update_matches_the_general_einsum_path():
+    # every sign of zero and a spread of magnitudes, in all combinations
+    vals = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -2.5e-3, 7.0, -1e10])
+    grid = np.array(np.meshgrid(vals, vals, vals, vals)).reshape(4, -1).T
+    x, b, s, dw = (grid[:, j][:, None] for j in range(4))
+    dt = 1e-3
+    got = _displace(x, b, s[:, :, None], dw, dt)
+    want = x + b * dt + np.einsum("ndk,nk->nd", s[:, :, None], dw)
+    assert got.tobytes() == want.tobytes()
+    # d = 2, d' = 3 goes through the einsum itself
+    rng = np.random.default_rng(0)
+    x2, b2 = rng.standard_normal((2, 5, 2))
+    s2, dw2 = rng.standard_normal((5, 2, 3)), rng.standard_normal((5, 3))
+    want2 = x2 + b2 * dt + np.einsum("ndk,nk->nd", s2, dw2)
+    assert _displace(x2, b2, s2, dw2, dt).tobytes() == want2.tobytes()
+
+
+def test_euler_step_leaves_its_input_cloud_alone():
+    sc = builtin_scenario("example1-quartic")
+    cfg = small_cfg(n_particles=200, exit_levels=(1, 2))
+    x0 = UniformBox(-1.5, 1.5).sample(200, 1, NoiseStream(0))
+    cloud = ParticleCloud.create(x0, sc.model, cfg.tracked_levels())
+    before = {m: rec.copy() for m, rec in cloud.exit_step.items()}
+    kick = np.full((200, 1), 0.6)  # pushes particles across the D_1 edge
+    first = euler_step(cloud, sc.model, cfg, NoiseStream(0), shared_dw=kick)
+    again = euler_step(cloud, sc.model, cfg, NoiseStream(0), shared_dw=kick)
+    assert first.exit_fraction(1) > cloud.exit_fraction(1)
+    assert cloud.step == 0 and np.array_equal(cloud.x, x0)
+    for m, rec in cloud.exit_step.items():
+        assert np.array_equal(rec, before[m])
+        assert np.array_equal(first.exit_step[m], again.exit_step[m])
+    assert np.array_equal(first.x, again.x)
+
+
+def test_passed_in_functionals_and_coefficients_change_nothing():
+    sc = builtin_scenario("example3-cir", alpha=0.1)
+    cfg = small_cfg(n_particles=300, cut_level=3, seed=5)
+    x0 = UniformBox(0.2, 2.5).sample(300, 1, NoiseStream(1))
+    cloud = ParticleCloud.create(x0, sc.model, cfg.tracked_levels())
+    noise = NoiseStream(cfg.seed)
+    fv = evaluate_functionals(sc.model.functionals, cloud.x)
+    coeffs = evaluate_coefficients(sc.model, cloud.t, cloud.x, fv, cfg.cut_level)
+    plain = euler_step(cloud, sc.model, cfg, noise)
+    for kw in ({"fv": fv}, {"coefficients": coeffs}):
+        given = euler_step(cloud, sc.model, cfg, noise, **kw)
+        assert given.x.tobytes() == plain.x.tobytes()
 
 
 def test_particles_outside_the_cut_box_freeze_forever(contraction_model):
