@@ -73,7 +73,6 @@ from .simulate import (
     UniformBox,
     coupled_simulate,
     euler_step,
-    kappa_n,
     simulate,
 )
 
@@ -123,7 +122,6 @@ __all__ = [
     "integrated_generator",
     "ito_residual_full",
     "ito_residual_measure",
-    "kappa_n",
     "lift_gradient",
     "mean_square_function",
     "moment",

@@ -14,9 +14,10 @@ Exit codes follow one convention across subcommands:
 | 3 | simulation blow-up / non-finite numbers            |
 | 4 | a monitored bound or check reported findings       |
 
-Worker counts come from ``--threads``, then the ``MKVLAB_THREADS``
-environment variable, then the config; they influence scheduling only and
-never change any emitted byte.
+The engine is serial. A worker count is still accepted from ``--threads``,
+then the ``MKVLAB_THREADS`` environment variable, then ``sim.threads``, and
+must be an integer >= 1 (exit 2 otherwise), but it has no effect on the run
+or on any emitted byte.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ class RunConfig:
     cut_level: int = 4
     seed: int = 0
     exit_levels: tuple = ()
-    lag: str = "none"
     threads: int = 1
     stream: int = 0
     checkpoints: tuple | None = None
@@ -117,6 +117,10 @@ class RunConfig:
     wasserstein_p: float = 1.0
 
     def sim_config(self) -> SimConfig:
+        if self.threads < 1:
+            raise ConfigError(
+                f"must be >= 1, got {self.threads}", key="sim.threads"
+            )
         return SimConfig(
             n_particles=self.n_particles,
             horizon=self.horizon,
@@ -124,8 +128,6 @@ class RunConfig:
             cut_level=self.cut_level,
             seed=self.seed,
             exit_levels=self.exit_levels,
-            lag=self.lag,
-            threads=self.threads,
             checkpoints=self.checkpoints,
             stream=self.stream,
         )
@@ -243,7 +245,6 @@ _KEYS = {
     "sim.cut_level": ("cut_level", _level, _level_text),
     "sim.seed": ("seed", _int, str),
     "sim.exit_levels": ("exit_levels", _levels, _tuple_text(_level_text)),
-    "sim.lag": ("lag", str, str),
     "sim.threads": ("threads", _int, str),
     "sim.stream": ("stream", _int, str),
     "sim.checkpoints": (
@@ -569,7 +570,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
     parser.add_argument("--seed", type=int, metavar="U64", help="override sim.seed")
     parser.add_argument("--threads", type=int, metavar="N",
-                        help="worker count (default: $MKVLAB_THREADS, then config)")
+                        help="accepted for compatibility, no effect; must be >= 1 "
+                        "(default: $MKVLAB_THREADS, then config)")
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--tolerance", type=float, metavar="REAL",
                         help="relative slack for bound checks")

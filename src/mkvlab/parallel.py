@@ -1,19 +1,17 @@
-"""Deterministic reductions and the worker pool used by the particle engine.
+"""Deterministic reductions over particle clouds, and a retired worker pool.
 
-Floating-point sums are not associative, so a reduction whose grouping
-depends on how many workers happen to be available is not reproducible.
-Everything here fixes the grouping once and for all:
+Floating-point sums are not associative, so every particle reduction fixes
+its grouping once and for all:
 
-* arrays are cut into blocks of ``BLOCK`` consecutive particles (a constant,
-  never derived from the worker count),
+* arrays are cut into blocks of ``BLOCK`` consecutive particles,
 * each block is summed by numpy on its own,
 * block partials are folded pairwise in block-index order.
 
-Worker counts then only decide *who* computes a block, never what is
-computed, so results are bit-identical for any ``--threads`` value.
-Elementwise work (coefficient evaluation, position updates) is safe to chunk
-arbitrarily — no value depends on another particle — and is dispatched over
-the same fixed blocks purely for parallelism.
+Changing the grouping changes rounding, and with it every emitted byte.
+
+The particle engine is serial and uses no pool. ``WorkerPool``,
+``resolve_threads`` and ``THREADS_ENV`` remain only for the benchmark's
+tracer (see ``WorkerPool``).
 """
 
 from __future__ import annotations
@@ -66,19 +64,14 @@ def _pairwise_fold(parts: list[np.ndarray | float]):
     return parts[0]
 
 
-def tree_sum(values: np.ndarray, pool: "WorkerPool | None" = None):
-    """Sum ``values`` over axis 0 with the fixed-shape pairwise tree.
-
-    Deterministic for a given input regardless of worker count; the optional
-    pool parallelizes the per-block partial sums only.
-    """
+def tree_sum(values: np.ndarray):
+    """Sum ``values`` over axis 0 with the fixed-shape pairwise tree."""
     values = np.asarray(values)
     n = values.shape[0]
     if n == 0:
         return np.zeros(values.shape[1:], dtype=values.dtype)
-    parallel = pool is not None and pool.threads > 1 and n > BLOCK
     flat = values.ndim == 1 and values.flags.c_contiguous
-    if not parallel and flat and values.dtype == np.float64:
+    if flat and values.dtype == np.float64:
         # The full blocks as the rows of one array: numpy sums each row
         # exactly as it sums that block alone, in one call instead of one
         # per block. Python floats add as float64 scalars do.
@@ -87,27 +80,25 @@ def tree_sum(values: np.ndarray, pool: "WorkerPool | None" = None):
         if full < n:
             parts.append(float(values[full:].sum()))
         return np.float64(_pairwise_fold(parts))
-    slices = block_slices(n)
-    if parallel:
-        parts = pool.map_ordered(lambda s: values[s].sum(axis=0), slices)
-    else:
-        parts = [values[s].sum(axis=0) for s in slices]
-    return _pairwise_fold(parts)
+    return _pairwise_fold([values[s].sum(axis=0) for s in block_slices(n)])
 
 
-def tree_mean(values: np.ndarray, pool: "WorkerPool | None" = None):
+def tree_mean(values: np.ndarray):
     values = np.asarray(values)
     if values.shape[0] == 0:
         raise ValueError("mean of an empty particle set")
-    return tree_sum(values, pool) / values.shape[0]
+    return tree_sum(values) / values.shape[0]
 
 
 class WorkerPool:
     """A thread pool that maps work over the fixed particle blocks.
 
-    numpy releases the GIL inside large array operations, so threads give
-    genuine overlap for the elementwise stage of a step. A pool with one
-    thread short-circuits to plain calls.
+    Nothing in mkvlab uses it: on one CPU a step through the pool took
+    about twice as long as the serial step. It is kept unchanged because
+    the benchmark's tracer (``bench/spans.py``) wraps
+    ``WorkerPool.run_blocks`` by name and fails to install without it. It
+    goes, with ``resolve_threads`` and ``THREADS_ENV``, once the benchmark
+    drops that site.
     """
 
     def __init__(self, threads: int | None = None):

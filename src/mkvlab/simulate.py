@@ -7,19 +7,15 @@ and — at cut level k — zero outside the closed box D_k. A particle whose
 position leaves D_k therefore keeps zero coefficients forever: it freezes at
 its landing point (extension by zero; no reflection, no rejection).
 
-Two lag flags are accepted. ``kappa_n`` evaluates state and functionals at
-the lag point κ_n(t) = ⌊tn⌋/n; ``none`` evaluates the state "currently" with
-functionals from the step's left endpoint. On the integration grid these
-coincide — the current state at the start of step i *is* the state at
-κ_n(t_i) — so the flag is recorded but the arithmetic is shared, and tests
-pin the two modes to bit-identical trajectories.
-
 Every random number is a pure function of (seed, stream, purpose, step,
 particle, axis), with no generator state carried across calls, so results
-are bit-identical across worker counts and across restarts. Gaussian
-increments are numpy's ziggurat on a Philox generator keyed by (seed,
-stream|purpose|step): prefix-stable over particles, and byte-reproducible
-for a given numpy version (see ``NoiseStream``).
+are bit-identical across restarts. Gaussian increments are numpy's ziggurat
+on a Philox generator keyed by (seed, stream|purpose|step): prefix-stable
+over particles, and byte-reproducible for a given numpy version (see
+``NoiseStream``).
+
+The engine is serial: ``simulate`` and ``coupled_simulate`` share one time
+loop that draws each step's increments once and hands them to every cloud.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import numpy as np
 
 from .measure import evaluate_functionals
 from .model import ModelSpec, evaluate_coefficients, ladder_level
-from .parallel import WorkerPool, tree_mean
+from .parallel import tree_mean
 
 __all__ = [
     "BlowUpError",
@@ -44,14 +40,11 @@ __all__ = [
     "load_initial_samples",
     "NoiseStream",
     "ParticleCloud",
-    "kappa_n",
     "euler_step",
     "simulate",
     "coupled_simulate",
     "DiagnosticsSeries",
 ]
-
-LAG_MODES = ("none", "kappa_n")
 
 _U64 = (1 << 64) - 1
 
@@ -69,13 +62,6 @@ class BlowUpError(RuntimeError):
         self.time = time
 
 
-def kappa_n(t: float, n: int) -> float:
-    """The lag point κ_n(t) = ⌊t·n⌋/n (left grid neighbour of t)."""
-    if n < 1:
-        raise ValueError("grid density n must be >= 1")
-    return math.floor(t * n) / n
-
-
 # ---------------------------------------------------------------------------
 # counter-based noise
 # ---------------------------------------------------------------------------
@@ -85,9 +71,12 @@ class NoiseStream:
     """Stateless Gaussian/uniform noise addressed by integer coordinates.
 
     Each scalar draw is a pure function of (seed, stream, purpose, step,
-    particle, axis). Every (purpose, step) pair keys its own Philox counter
-    generator with (seed, stream|purpose|step), so no generator state is
-    carried between calls.
+    particle, axis). Every (purpose, step) pair keys a Philox counter
+    generator with (seed, stream|purpose|step). The stream keeps one Philox
+    and resets it to that key, counter 0 and an empty buffer on every call
+    (about 4 µs, against 16 µs to build a fresh one), so no generator state
+    is carried between calls. That shared generator makes a ``NoiseStream``
+    unfit for concurrent use: give each thread its own.
 
     * ``normals`` are numpy's ziggurat (``Generator.standard_normal``) on
       that key, laid out row-major over (particle, axis). The ziggurat
@@ -100,8 +89,7 @@ class NoiseStream:
     * ``uniforms`` stay random-access: the raw 64-bit word at flat offset
       particle·width + axis maps to (0, 1) via ((raw >> 11) + 0.5)·2⁻⁵³.
 
-    Either way values never depend on which worker produced neighbouring
-    blocks. Purposes 2 and 3 belong to the second cloud of a pair (coupled
+    Purposes 2 and 3 belong to the second cloud of a pair (coupled
     runs, the Itô companion), so two clouds never share a draw by accident.
     """
 
@@ -115,15 +103,27 @@ class NoiseStream:
         if not 0 <= stream < 256:
             raise ValueError("stream id must be in [0, 256)")
         self.stream = stream
+        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def _generator(self, purpose: int, step: int) -> np.random.Generator:
+        """The generator, reset to the state a fresh ``Philox(key)`` has."""
         if not 0 <= purpose < 256:
             raise ValueError("purpose id must be in [0, 256)")
         if step < 0 or step >= 1 << 48:
             raise ValueError("step index out of the 48-bit key range")
         word = (self.stream << 56) | (purpose << 48) | step
-        key = np.array([self.seed, word], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([self.seed, word], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen
 
     def _raw(self, purpose: int, step: int, start: int, count: int) -> np.ndarray:
         gen = self._generator(purpose, step)
@@ -167,12 +167,14 @@ class NoiseStream:
 class SimConfig:
     """Run parameters for one particle-cloud simulation.
 
-    ``steps_per_unit`` is the grid density n (Δt = 1/n); ``cut_level`` is
-    the localization level k; ``exit_levels`` lists the ladder levels m ≤ k
-    whose first-exit steps are tracked (the cut level itself is always
-    tracked). Levels are integers: integral floats are converted, anything
-    else is rejected. ``threads`` is the resolved worker count — it influences
-    scheduling only, never results.
+    ``steps_per_unit`` is the grid density n (Δt = 1/n), and ``horizon``
+    must lie on that grid: h·n within 1e-9 relative of an integer ≥ 1, so a
+    run ends at t = horizon exactly. ``cut_level`` is the localization level
+    k; ``exit_levels`` lists the ladder levels m ≤ k whose first-exit steps
+    are tracked (the cut level itself is always tracked). Levels are
+    integers: integral floats are converted, anything else is rejected.
+    There is no worker count: the engine is serial, and the CLI's
+    ``--threads`` is accepted and has no effect.
     """
 
     n_particles: int
@@ -181,8 +183,6 @@ class SimConfig:
     cut_level: int
     seed: int
     exit_levels: tuple = ()
-    lag: str = "none"
-    threads: int = 1
     checkpoints: tuple | None = None
     stream: int = 0
 
@@ -193,20 +193,24 @@ class SimConfig:
             raise ValueError("steps_per_unit must be >= 1")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
+        steps = self.horizon * self.steps_per_unit
+        k = round(steps) if math.isfinite(steps) else 0
+        if k < 1 or abs(steps - k) > 1e-9 * k:
+            raise ValueError(
+                f"horizon {self.horizon!r} is off the grid of step "
+                f"1/{self.steps_per_unit}: horizon·n = {steps!r} is not an "
+                "integer >= 1"
+            )
         cut = ladder_level(self.cut_level)
         if cut < 1:
             raise ValueError("cut level must be >= 1")
         object.__setattr__(self, "cut_level", cut)
-        if self.lag not in LAG_MODES:
-            raise ValueError(f"lag must be one of {LAG_MODES}, got {self.lag!r}")
         levels = tuple(ladder_level(m) for m in self.exit_levels)
         if list(levels) != sorted(set(levels)):
             raise ValueError("exit levels must be sorted and unique")
         if any(m < 1 or m > self.cut_level for m in levels):
             raise ValueError("exit levels must satisfy 1 <= m <= cut level")
         object.__setattr__(self, "exit_levels", levels)
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @property
     def dt(self) -> float:
@@ -214,8 +218,7 @@ class SimConfig:
 
     @property
     def total_steps(self) -> int:
-        steps = round(self.horizon * self.steps_per_unit)
-        return max(int(steps), 1)
+        return round(self.horizon * self.steps_per_unit)
 
     def tracked_levels(self) -> tuple:
         return tuple(sorted(set(self.exit_levels) | {self.cut_level}))
@@ -398,38 +401,22 @@ def _displace(x, b, s, dw, dt) -> np.ndarray:
     return out
 
 
-def _advance_positions(model, cfg, cloud, fv, dw, pool) -> np.ndarray:
-    """Positions after one step, with localized coefficients at (t, x, fv)."""
-    t = cloud.step / cfg.steps_per_unit
-    if pool is None or pool.threads <= 1:
-        b, s = evaluate_coefficients(model, t, cloud.x, fv, cfg.cut_level)
-        return _displace(cloud.x, b, s, dw, cfg.dt)
-    out = np.empty_like(cloud.x)
-
-    def block(sl):
-        b, s = evaluate_coefficients(model, t, cloud.x[sl], fv, cfg.cut_level)
-        out[sl] = _displace(cloud.x[sl], b, s, dw[sl], cfg.dt)
-
-    pool.run_blocks(block, cloud.n)
-    return out
-
-
 def euler_step(
     cloud: ParticleCloud,
     model: ModelSpec,
     cfg: SimConfig,
     noise: NoiseStream,
-    pool: WorkerPool | None = None,
     shared_dw: np.ndarray | None = None,
     fv: dict | None = None,
     coefficients: tuple | None = None,
 ) -> ParticleCloud:
     """Advance the cloud one grid step (t_i → t_{i+1}); ``cloud`` is untouched.
 
-    Functional values are reduced once from the pre-step cloud; both lag
-    flags evaluate coefficients at the left-endpoint state (see module
-    docstring). Exit records update after the move. ``shared_dw`` lets two
-    coupled clouds consume identical increments.
+    Cut coefficients are evaluated at the pre-step state, with functional
+    values reduced once from the pre-step cloud; exit records update after
+    the move. ``shared_dw`` lets two coupled clouds consume identical
+    increments. The step is serial: the CLI's ``--threads`` is accepted and
+    has no effect.
 
     A caller that already holds the pre-step functional values ``fv``, or
     the cut coefficients ``coefficients`` = (b, σ) from
@@ -441,12 +428,12 @@ def euler_step(
         dw = noise.increments(
             cloud.step, 0, cloud.n, model.noise_dim, cfg.dt
         )
-    if coefficients is not None:
-        x_new = _displace(cloud.x, *coefficients, dw, cfg.dt)
-    else:
+    if coefficients is None:
         if fv is None:
             fv = evaluate_functionals(model.functionals, cloud.x)
-        x_new = _advance_positions(model, cfg, cloud, fv, dw, pool)
+        t = cloud.step / cfg.steps_per_unit
+        coefficients = evaluate_coefficients(model, t, cloud.x, fv, cfg.cut_level)
+    x_new = _displace(cloud.x, *coefficients, dw, cfg.dt)
     if not np.isfinite(x_new).all():
         i = int(np.argmax(~np.isfinite(x_new).all(axis=1)))
         t_next = (cloud.step + 1) / cfg.steps_per_unit
@@ -565,8 +552,48 @@ def _base_meta(model, cfg) -> dict:
         "horizon": cfg.horizon,
         "cut_level": cfg.cut_level,
         "seed": cfg.seed,
-        "lag": cfg.lag,
     }
+
+
+def _run_clouds(model, cfg, noise, clouds, fvs, observe) -> None:
+    """The time loop of ``simulate`` and ``coupled_simulate``.
+
+    Each step draws its increments once and hands them to every cloud, so
+    coupled clouds share their noise particle by particle, and a lone cloud
+    gets the very draw ``euler_step`` would make for itself. ``fvs`` holds
+    each cloud's functional values at step 0. At every checkpoint step (the
+    checkpoints always include step 0) the functionals are reduced once,
+    ``observe(clouds, fvs)`` is called, and the next step reuses them.
+
+    ``clouds`` is advanced in place: a caller that keeps no other reference
+    to the step-0 clouds holds only the current ones, not N·(d + levels)
+    words more for the whole run.
+    """
+    marks = set(cfg.checkpoint_steps())
+    observe(clouds, fvs)
+    for i in range(cfg.total_steps):
+        dw = noise.increments(i, 0, clouds[0].n, model.noise_dim, cfg.dt)
+        clouds[:] = [
+            euler_step(c, model, cfg, noise, shared_dw=dw, fv=fv)
+            for c, fv in zip(clouds, fvs)
+        ]
+        fvs = [None] * len(clouds)
+        if i + 1 in marks:
+            fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
+            observe(clouds, fvs)
+
+
+def _start(model, cfg, noise, law, purpose=NoiseStream.PURPOSE_INIT):
+    """A step-0 cloud drawn from ``law`` on noise purpose ``purpose``."""
+    x0 = law.sample(cfg.n_particles, model.dim, noise, purpose)
+    return ParticleCloud.create(x0, model, cfg.tracked_levels())
+
+
+def _ev0(lyap, cloud, fv) -> float:
+    """The measured E v(0, x₀) that seeds the envelopes; 0 without ``lyap``."""
+    if lyap is None:
+        return 0.0
+    return float(tree_mean(np.asarray(lyap.v(0.0, cloud.x, fv), dtype=float)))
 
 
 def simulate(
@@ -584,42 +611,23 @@ def simulate(
     arrays at checkpoints (occupation-measure experiments need them).
     """
     noise = NoiseStream(cfg.seed, cfg.stream)
-    x0 = init.sample(cfg.n_particles, model.dim, noise)
-    cloud = ParticleCloud.create(x0, model, cfg.tracked_levels())
-
-    fv0 = evaluate_functionals(model.functionals, cloud.x)
-    ev0 = 0.0
-    if lyap is not None:
-        ev0 = float(
-            tree_mean(np.asarray(lyap.v(0.0, cloud.x, fv0), dtype=float))
-        )
+    clouds = [_start(model, cfg, noise, init)]
+    fvs = [evaluate_functionals(model.functionals, clouds[0].x)]
+    ev0 = _ev0(lyap, clouds[0], fvs[0])
     rec = _Recorder(model, lyap, cfg, ev0)
     meta = _base_meta(model, cfg)
     meta["ev0"] = ev0
     for m in cfg.tracked_levels():
-        meta[f"p0_out_{m:g}"] = cloud.exit_fraction(m)
+        meta[f"p0_out_{m:g}"] = clouds[0].exit_fraction(m)
 
-    marks = set(cfg.checkpoint_steps())
     snapshots = []
-    pool = WorkerPool(cfg.threads) if cfg.threads > 1 else None
-    try:
-        fv = fv0
-        if 0 in marks:
-            rec.record(cloud, fv)
-            if keep_snapshots:
-                snapshots.append((cloud.t, cloud.x.copy()))
-        for i in range(cfg.total_steps):
-            # fv is reused when it was reduced from this very state
-            cloud = euler_step(cloud, model, cfg, noise, pool, fv=fv)
-            fv = None
-            if cloud.step in marks:
-                fv = evaluate_functionals(model.functionals, cloud.x)
-                rec.record(cloud, fv)
-                if keep_snapshots:
-                    snapshots.append((cloud.t, cloud.x.copy()))
-    finally:
-        if pool is not None:
-            pool.close()
+
+    def observe(clouds, fvs):
+        rec.record(clouds[0], fvs[0])
+        if keep_snapshots:
+            snapshots.append((clouds[0].t, clouds[0].x.copy()))
+
+    _run_clouds(model, cfg, noise, clouds, fvs, observe)
     return DiagnosticsSeries(
         columns=rec.columns, rows=rec.rows, meta=meta, snapshots=snapshots
     )
@@ -643,64 +651,32 @@ def coupled_simulate(
     band is its 3-sigma cross-particle Monte Carlo width.
     """
     noise = NoiseStream(cfg.seed, cfg.stream)
-    x1 = init1.sample(cfg.n_particles, model.dim, noise)
     # A distinct purpose id keeps the second cloud's *initial* draw
     # independent while step noise stays shared.
-    x2 = init2.sample(
-        cfg.n_particles, model.dim, noise, purpose=NoiseStream.PURPOSE_INIT2
-    )
-
-    levels = cfg.tracked_levels()
     clouds = [
-        ParticleCloud.create(x1, model, levels),
-        ParticleCloud.create(x2, model, levels),
+        _start(model, cfg, noise, init1),
+        _start(model, cfg, noise, init2, NoiseStream.PURPOSE_INIT2),
     ]
     fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
-    recs = []
-    metas = []
-    for j, (cloud, fv) in enumerate(zip(clouds, fvs)):
-        ev0 = 0.0
-        if lyap is not None:
-            ev0 = float(
-                tree_mean(np.asarray(lyap.v(0.0, cloud.x, fv), dtype=float))
-            )
-        recs.append(_Recorder(model, lyap, cfg, ev0))
-        meta = _base_meta(model, cfg)
-        meta["coupled_member"] = j + 1
-        metas.append(meta)
+    recs = [
+        _Recorder(model, lyap, cfg, _ev0(lyap, c, fv)) for c, fv in zip(clouds, fvs)
+    ]
+    metas = [{**_base_meta(model, cfg), "coupled_member": j} for j in (1, 2)]
 
-    def distance(a: ParticleCloud, b: ParticleCloud) -> list:
-        diff = a.x - b.x
+    dist_rows = []
+
+    def observe(clouds, fvs):
+        for cloud, r, fv in zip(clouds, recs, fvs):
+            r.record(cloud, fv)
+        diff = clouds[0].x - clouds[1].x
         z = diff[:, 0] if model.dim == 1 else np.linalg.norm(diff, axis=1)
         values = np.asarray(vbar(z), dtype=float)
         band = 0.0
         if values.size > 1:
             band = 3.0 * float(np.std(values, ddof=1)) / math.sqrt(values.size)
-        return [float(tree_mean(values)), band]
+        dist_rows.append([clouds[0].t, float(tree_mean(values)), band])
 
-    marks = set(cfg.checkpoint_steps())
-    dist_rows = []
-    pool = WorkerPool(cfg.threads) if cfg.threads > 1 else None
-    try:
-        if 0 in marks:
-            for cloud, r, fv in zip(clouds, recs, fvs):
-                r.record(cloud, fv)
-            dist_rows.append([0.0] + distance(*clouds))
-        for i in range(cfg.total_steps):
-            dw = noise.increments(i, 0, cfg.n_particles, model.noise_dim, cfg.dt)
-            clouds = [
-                euler_step(c, model, cfg, noise, pool, shared_dw=dw, fv=fv)
-                for c, fv in zip(clouds, fvs)
-            ]
-            fvs = [None, None]
-            if clouds[0].step in marks:
-                fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
-                for cloud, r, fv in zip(clouds, recs, fvs):
-                    r.record(cloud, fv)
-                dist_rows.append([clouds[0].t] + distance(*clouds))
-    finally:
-        if pool is not None:
-            pool.close()
+    _run_clouds(model, cfg, noise, clouds, fvs, observe)
 
     series = [
         DiagnosticsSeries(columns=r.columns, rows=r.rows, meta=m)

@@ -53,7 +53,6 @@ def test_fully_populated_config_round_trips_exactly():
         cut_level=6.0,
         seed=42,
         exit_levels=(2, 3),
-        lag="kappa_n",
         threads=4,
         stream=1,
         checkpoints=(0.0, 1.25, 2.5),
@@ -98,6 +97,7 @@ def test_comments_and_blank_lines_are_ignored():
         ("bogus = 3\n", "line 1: bogus: unknown key"),
         ("sim.seed = 1\n# note\nsim.seed = 2\n", "line 3: sim.seed: key given twice"),
         ("sim.lag =\n", "line 1: sim.lag: empty value"),
+        ("sim.lag = none\n", "line 1: sim.lag: unknown key"),
         ("sim.horizon = fast\n", "sim.horizon"),
         ("sim.horizon = nan\n", "nan is not a usable value"),
         ("stability.mode = sideways\n", "must be auto, pointwise or integrated"),
@@ -130,6 +130,23 @@ def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
     out = tmp_path / "frac"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     assert "ladder level must be an integer" in capsys.readouterr().err
+    assert not (out / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        (SIM_CFG + "sim.threads = 0\n", [], "sim.threads: must be >= 1"),
+        (SIM_CFG, ["--threads", "0"], "sim.threads: must be >= 1"),
+        (SIM_CFG.replace("horizon = 0.5", "horizon = 0.51"), [], "off the grid"),
+    ],
+    ids=["sim.threads", "--threads", "off-grid-horizon"],
+)
+def test_unusable_run_settings_exit_with_code_2(tmp_path, capsys, text, flags, message):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "bad"
+    assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
     assert not (out / "diagnostics.csv").exists()
 
 

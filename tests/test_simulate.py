@@ -1,7 +1,8 @@
 """The localized Euler engine: stepping, freezing, exits, noise, coupling."""
 
-import dataclasses
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from mkvlab.simulate import (
     _displace,
     coupled_simulate,
     euler_step,
-    kappa_n,
     load_initial_samples,
     simulate,
 )
@@ -54,15 +54,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_cfg(cut_level=0.5)
     with pytest.raises(ValueError):
-        small_cfg(lag="midpoint")
-    with pytest.raises(ValueError):
         small_cfg(exit_levels=(3, 1))
     with pytest.raises(ValueError):
         small_cfg(exit_levels=(2, 2))
     with pytest.raises(ValueError):
         small_cfg(exit_levels=(5,), cut_level=4.0)
-    with pytest.raises(ValueError):
-        small_cfg(threads=0)
 
 
 def test_ladder_levels_are_integers():
@@ -106,12 +102,16 @@ def test_checkpoint_steps_snap_to_the_grid():
         small_cfg(horizon=1.0, checkpoints=(2.0,)).checkpoint_steps()
 
 
-def test_lag_point_is_the_left_grid_neighbour():
-    assert kappa_n(0.3, 4) == 0.25
-    assert kappa_n(1.0, 7) == 1.0
-    assert kappa_n(0.0, 5) == 0.0
-    with pytest.raises(ValueError):
-        kappa_n(0.5, 0)
+def test_horizons_off_the_grid_are_rejected():
+    # round(h·n) would run these to t = 0.002, 0.002, 0.001 and 0.5
+    for horizon in (0.0015, 0.0025, 0.0004, 0.5 + 1e-6):
+        with pytest.raises(ValueError, match="off the grid"):
+            small_cfg(horizon=horizon, steps_per_unit=1000)
+    with pytest.raises(ValueError, match="off the grid"):
+        small_cfg(horizon=math.inf)
+    # rounding in h·n is not an offset: 0.1·30 = 3.0000000000000004
+    assert small_cfg(horizon=0.1, steps_per_unit=30).total_steps == 3
+    assert small_cfg(horizon=0.002, steps_per_unit=1000).total_steps == 2
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +205,26 @@ def test_noise_coordinates_separate_draws():
 def test_uniforms_stay_strictly_interior():
     u = NoiseStream(0).uniforms(0, 0, 0, 4096, 1)
     assert (u > 0.0).all() and (u < 1.0).all()
+
+
+def test_noise_draws_never_depend_on_earlier_calls():
+    # a stream reuses one generator, so each call must start from its key
+    def fresh():
+        return NoiseStream(21, 4)
+
+    used = fresh()
+    used.normals(0, 9, 0, 1001, 1)
+    assert np.array_equal(used.normals(0, 7, 0, 50, 2), fresh().normals(0, 7, 0, 50, 2))
+    used.uniforms(1, 2, 3, 7, 1)
+    assert np.array_equal(used.normals(0, 7, 13, 20, 2), fresh().normals(0, 7, 13, 20, 2))
+    used.increments(5, 0, 3, 1, 0.1)
+    assert np.array_equal(used.uniforms(1, 7, 0, 9, 3), fresh().uniforms(1, 7, 0, 9, 3))
+    used.normals(2, 1, 0, 3, 1)
+    assert np.array_equal(used.uniforms(1, 7, 5, 9, 3), fresh().uniforms(1, 7, 5, 9, 3))
+    # the key is (seed, stream|purpose|step), as on a freshly built Philox
+    key = np.array([21, (4 << 56) | (0 << 48) | 7], dtype=np.uint64)
+    ref = np.random.Generator(np.random.Philox(key=key)).standard_normal((50, 2))
+    assert np.array_equal(used.normals(0, 7, 0, 50, 2), ref)
 
 
 def test_brownian_increments_scale_with_the_step():
@@ -372,24 +392,6 @@ def test_runs_are_bit_reproducible():
     assert a.meta == b.meta
 
 
-def test_worker_count_never_changes_results():
-    sc = builtin_scenario("example1-quartic")
-    cfg = small_cfg(n_particles=300, seed=17)
-    seq = simulate(sc.model, sc.lyap, cfg, UniformBox(-1.0, 1.0))
-    par = simulate(
-        sc.model, sc.lyap, dataclasses.replace(cfg, threads=4), UniformBox(-1.0, 1.0)
-    )
-    assert seq.rows == par.rows
-
-
-def test_lag_flags_share_the_grid_arithmetic():
-    sc = builtin_scenario("example1-quartic")
-    plain = simulate(sc.model, None, small_cfg(), sc.default_init)
-    lagged = simulate(sc.model, None, small_cfg(lag="kappa_n"), sc.default_init)
-    assert plain.rows == lagged.rows
-    assert lagged.meta["lag"] == "kappa_n"
-
-
 def test_series_columns_track_snapshots():
     sc = builtin_scenario("example1-quartic")
     cfg = small_cfg(n_particles=100)
@@ -483,3 +485,43 @@ def test_coupled_additive_noise_cancels_pathwise():
         t, value = row[0], row[1]
         k = round(t * cfg.steps_per_unit)
         assert value == pytest.approx((1.0 - cfg.dt) ** (2 * k), rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["example1-quartic", "linear-meanfield", "example3-cir"])
+def test_first_coupled_cloud_is_the_single_cloud_run(name):
+    # both drivers run one loop: the first cloud of a pair draws its initial
+    # law and every increment exactly as a lone cloud does, and the loop's
+    # shared draw is the one euler_step makes for itself
+    sc = builtin_scenario(name)
+    cfg = small_cfg(n_particles=500)
+    first, _, _ = coupled_simulate(
+        sc.model, cfg, sc.default_init, PointMass(1.0), vbar=lambda z: z**2
+    )
+    alone = simulate(sc.model, None, cfg, sc.default_init, keep_snapshots=True)
+    assert first.rows == alone.rows
+    noise = NoiseStream(cfg.seed)
+    x0 = sc.default_init.sample(cfg.n_particles, sc.model.dim, noise)
+    cloud = ParticleCloud.create(x0, sc.model, cfg.tracked_levels())
+    for _ in range(cfg.total_steps):
+        cloud = euler_step(cloud, sc.model, cfg, noise)
+    assert np.array_equal(cloud.x, alone.snapshots[-1][1])
+
+
+def test_no_steps_cloud_outlives_its_step(monkeypatch):
+    # the drivers keep no reference to an earlier state, so memory holds one
+    # cloud per member however long the run
+    engine = sys.modules["mkvlab.simulate"]
+    step, seen = engine.euler_step, []
+
+    def watched(cloud, *args, **kwargs):
+        seen.append(weakref.ref(cloud))
+        assert all(r() is None for r in seen[:-2])
+        return step(cloud, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "euler_step", watched)
+    sc = builtin_scenario("linear-meanfield")
+    simulate(sc.model, sc.lyap, small_cfg(), sc.default_init)
+    coupled_simulate(
+        sc.model, small_cfg(), PointMass(0.0), PointMass(1.0), vbar=lambda z: z**2
+    )
+    assert len(seen) == 3 * small_cfg().total_steps
