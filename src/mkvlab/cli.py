@@ -16,8 +16,8 @@ Exit codes follow one convention across subcommands:
 
 The engine is serial. A worker count is still accepted from ``--threads``,
 then the ``MKVLAB_THREADS`` environment variable, then ``sim.threads``, and
-must be an integer >= 1 (exit 2 otherwise), but it has no effect on the run
-or on any emitted byte.
+must be an integer >= 1 for every subcommand (exit 2 otherwise), but it has
+no effect on the run or on any emitted byte.
 """
 
 from __future__ import annotations
@@ -117,10 +117,6 @@ class RunConfig:
     wasserstein_p: float = 1.0
 
     def sim_config(self) -> SimConfig:
-        if self.threads < 1:
-            raise ConfigError(
-                f"must be >= 1, got {self.threads}", key="sim.threads"
-            )
         return SimConfig(
             n_particles=self.n_particles,
             horizon=self.horizon,
@@ -619,6 +615,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             rc.threads = int(os.environ["MKVLAB_THREADS"])
         except ValueError:
             raise ConfigError("MKVLAB_THREADS must be an integer")
+    if rc.threads < 1:
+        raise ConfigError(f"must be >= 1, got {rc.threads}", key="sim.threads")
     if args.out is not None:
         rc.out = args.out
     if args.tolerance is not None:

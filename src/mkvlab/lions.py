@@ -323,8 +323,10 @@ def ito_residual_measure(
     if u.d_mu is None or u.dy_d_mu is None:
         raise ValueError(f"measure function {u.uid!r} lacks analytic derivatives")
     noise = NoiseStream(cfg.seed, cfg.stream)
-    x0 = init.sample(cfg.n_particles, model.dim, noise)
-    cloud = ParticleCloud.create(x0, model, cfg.tracked_levels())
+    # no local name for the step-0 positions: the loop holds only its cloud
+    cloud = ParticleCloud.create(
+        init.sample(cfg.n_particles, model.dim, noise), model, cfg.tracked_levels()
+    )
     checkpoints = set(cfg.checkpoint_steps())
     u0 = u(cloud.x)
     acc = 0.0
@@ -378,12 +380,17 @@ def ito_residual_full(
     cross-particle band.
     """
     noise = NoiseStream(cfg.seed, cfg.stream)
-    x1 = init.sample(cfg.n_particles, model.dim, noise)
-    x2 = (init2 or init).sample(
-        cfg.n_particles, model.dim, noise, purpose=NoiseStream.PURPOSE_INIT2
+    # no local names for the step-0 positions: the loop holds only its clouds
+    cloud1 = ParticleCloud.create(
+        init.sample(cfg.n_particles, model.dim, noise), model, cfg.tracked_levels()
     )
-    cloud1 = ParticleCloud.create(x1, model, cfg.tracked_levels())
-    cloud2 = ParticleCloud.create(x2, model, cfg.tracked_levels())
+    cloud2 = ParticleCloud.create(
+        (init2 or init).sample(
+            cfg.n_particles, model.dim, noise, purpose=NoiseStream.PURPOSE_INIT2
+        ),
+        model,
+        cfg.tracked_levels(),
+    )
     checkpoints = set(cfg.checkpoint_steps())
     n = cloud1.n
     fv1 = evaluate_functionals(model.functionals, cloud1.x)

@@ -57,10 +57,12 @@ class EmpiricalMeasure:
     """Uniform probability measure on N sample points of shape (N, d).
 
     A thin view over a sample array with a cached per-axis sort; scalar
-    functionals require d = 1.
+    functionals require d = 1. ``scratch``, an (N,) float64 buffer, is
+    where ``smallest`` partitions instead of in a fresh copy; it is
+    overwritten, and what ``smallest`` returns is a view of it.
     """
 
-    def __init__(self, samples: np.ndarray):
+    def __init__(self, samples: np.ndarray, scratch: np.ndarray | None = None):
         samples = np.asarray(samples, dtype=float)
         if samples.ndim == 1:
             samples = samples[:, None]
@@ -69,6 +71,7 @@ class EmpiricalMeasure:
         if not np.isfinite(samples).all():
             raise ValueError("samples must be finite")
         self.samples = samples
+        self._scratch = scratch
         self._sorted: np.ndarray | None = None
 
     @property
@@ -99,7 +102,15 @@ class EmpiricalMeasure:
         x = self.samples[:, 0]
         if k == 0:
             return x[:0]
-        return np.sort(np.partition(x, k - 1)[:k])
+        # np.partition and np.sort copy, then work in place; so does this
+        if self._scratch is None:
+            part = x.copy()
+        else:
+            part = self._scratch
+            np.copyto(part, x)
+        part.partition(k - 1)
+        part[:k].sort()
+        return part[:k]
 
     def scalar(self) -> np.ndarray:
         if self.dim != 1:
@@ -107,8 +118,8 @@ class EmpiricalMeasure:
         return self.samples[:, 0]
 
 
-def _as_measure(mu) -> EmpiricalMeasure:
-    return mu if isinstance(mu, EmpiricalMeasure) else EmpiricalMeasure(mu)
+def _as_measure(mu, scratch=None) -> EmpiricalMeasure:
+    return mu if isinstance(mu, EmpiricalMeasure) else EmpiricalMeasure(mu, scratch)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +167,17 @@ def expected_shortfall(mu, alpha: float) -> float:
 
 
 def evaluate_functionals(
-    tags: tuple[MeasureFunctionalTag, ...], samples: np.ndarray
+    tags: tuple[MeasureFunctionalTag, ...],
+    samples: np.ndarray,
+    scratch: np.ndarray | None = None,
 ) -> dict:
     """Evaluate declared functionals on a raw (N, d) sample array.
 
     Returns {tag.key: float}. All reductions go through the deterministic
-    tree so the values never depend on worker scheduling.
+    tree so the values never depend on worker scheduling. ``scratch`` is
+    handed to ``EmpiricalMeasure`` (see there); the values do not change.
     """
-    mu = _as_measure(samples)
+    mu = _as_measure(samples, scratch)
     fv: dict = {}
     for tag in tags:
         if tag.kind == "raw-moment":

@@ -251,6 +251,8 @@ class ModelSpec:
 
     ``drift(t, x, fv) -> (N, d)`` and ``diffusion(t, x, fv) -> (N, d, d')``
     are pure vectorized callables; ``fv`` maps functional keys to scalars.
+    A return that broadcasts to that shape is enough: a constant σ comes
+    back as one (1, d, d') array instead of N copies of it.
     Coefficient factories are composed from a small vetted primitive set
     (polynomials, powers, max/min with constants, reciprocal on positive
     arguments); arbitrary user callbacks against μ are out of scope.
@@ -286,6 +288,8 @@ def evaluate_coefficients(
     x: np.ndarray,
     fv: dict,
     cut_level: int | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+    inside: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate (b, σ) at (t, x, fv), zeroed outside D_k and outside D.
 
@@ -294,6 +298,11 @@ def evaluate_coefficients(
     the cut; with ``cut_level=k`` so do positions outside the closed box D_k.
     A non-finite coefficient at a point that is *inside* the (cut) domain is
     a model bug and raises.
+
+    ``out`` = (b, σ) buffers of those shapes receive the result, which is
+    then returned; otherwise fresh arrays are. ``inside``, the membership
+    mask of ``x`` in D_k that a caller already holds, saves testing the cut
+    box again. Either way the values are the same.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -304,27 +313,28 @@ def evaluate_coefficients(
 
     alive = model.ladder.contains(x)
     if cut_level is not None:
-        alive &= model.ladder.contains(x, cut_level)
+        alive &= model.ladder.contains(x, cut_level) if inside is None else inside
 
     with np.errstate(all="ignore"):
         b = np.asarray(model.drift(t, x, fv), dtype=float)
         s = np.asarray(model.diffusion(t, x, fv), dtype=float)
-    # broadcast only what the model returned short: broadcast_to has a
-    # fixed cost of microseconds per call
     shape_b = (x.shape[0], model.dim)
-    shape_s = (*shape_b, model.noise_dim)
-    if b.shape != shape_b:
-        b = np.broadcast_to(b, shape_b)
-    if s.shape != shape_s:
-        s = np.broadcast_to(s, shape_s)
-
-    bad = alive & ~(
-        np.isfinite(b).all(axis=1) & np.isfinite(s).all(axis=(1, 2))
-    )
-    if bad.any():
+    if out is None:
+        out = (np.empty(shape_b), np.empty((*shape_b, model.noise_dim)))
+    # np.where(alive, value, 0.0), written into the buffers: copy (a short
+    # return broadcasts as it is copied), then zero the dead rows
+    dead = ~alive
+    np.copyto(out[0], b)
+    np.copyto(out[0], 0.0, where=dead[:, None])
+    np.copyto(out[1], s)
+    np.copyto(out[1], 0.0, where=dead[:, None, None])
+    b, s = out
+    # zeroed entries are finite, so a non-finite entry is an in-domain one
+    if not (np.isfinite(b).all() and np.isfinite(s).all()):
+        bad = ~(np.isfinite(b).all(axis=1) & np.isfinite(s).all(axis=(1, 2)))
         i = int(np.argmax(bad))
         raise FloatingPointError(
             f"model {model.name!r}: non-finite coefficient at in-domain "
             f"point x={x[i]} (t={t})"
         )
-    return np.where(alive[:, None], b, 0.0), np.where(alive[:, None, None], s, 0.0)
+    return b, s

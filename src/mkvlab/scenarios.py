@@ -164,7 +164,7 @@ def _example3(
         dim=1,
         noise_dim=1,
         drift=drift,
-        diffusion=lambda t, x, fv: np.full((x.shape[0], 1, 1), 0.5 * sigma),
+        diffusion=lambda t, x, fv: np.full((1, 1, 1), 0.5 * sigma),
         functionals=(es,),
         ladder=DomainLadder.positive_axis(),
         # On [1/k, k] with positive support: max(ES, θ) ≤ θ + ES and
@@ -202,7 +202,7 @@ def _linear_meanfield(
         dim=1,
         noise_dim=1,
         drift=lambda t, x, fv: a * x + b * fv["mean"],
-        diffusion=lambda t, x, fv: np.full((x.shape[0], 1, 1), sigma),
+        diffusion=lambda t, x, fv: np.full((1, 1, 1), sigma),
         functionals=(MeasureFunctionalTag("mean"),),
         ladder=DomainLadder.full_space(1),
         local_bound=lambda k: abs(a) * k + abs(b) + sigma,
@@ -238,7 +238,7 @@ def _scheutzow_clip(sigma0: float = 0.4) -> Scenario:
         dim=1,
         noise_dim=1,
         drift=lambda t, x, fv: -x + fv["cmean"],
-        diffusion=lambda t, x, fv: np.full((x.shape[0], 1, 1), sigma0),
+        diffusion=lambda t, x, fv: np.full((1, 1, 1), sigma0),
         functionals=(tag,),
         ladder=DomainLadder.full_space(1),
         local_bound=lambda k: float(k) + 1.0 + sigma0,

@@ -142,18 +142,29 @@ class NoiseStream:
         u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         return u.reshape(count, width)
 
-    def normals(self, purpose, step, start_particle, count, width) -> np.ndarray:
-        """Standard normals, shape (count, width) (ziggurat, prefix-stable)."""
-        z = self._generator(purpose, step).standard_normal(
-            (start_particle + count, width)
-        )
-        return z[start_particle:]
+    def normals(
+        self, purpose, step, start_particle, count, width, out=None
+    ) -> np.ndarray:
+        """Standard normals, shape (count, width) (ziggurat, prefix-stable).
+
+        With ``out`` (a C-contiguous float64 array of that shape) a draw
+        from particle 0 is written there and ``out`` is returned; the bytes
+        are the same.
+        """
+        gen = self._generator(purpose, step)
+        if out is None:
+            return gen.standard_normal((start_particle + count, width))[start_particle:]
+        if start_particle or out.shape != (count, width):
+            raise ValueError(
+                f"out= takes a draw from particle 0 of shape {(count, width)}"
+            )
+        return gen.standard_normal(out=out)
 
     def increments(
-        self, step, start_particle, count, width, dt, purpose=PURPOSE_STEP
+        self, step, start_particle, count, width, dt, purpose=PURPOSE_STEP, out=None
     ) -> np.ndarray:
-        """Brownian increments √Δt·z for one Euler step."""
-        dw = self.normals(purpose, step, start_particle, count, width)
+        """Brownian increments √Δt·z for one Euler step (into ``out`` if given)."""
+        dw = self.normals(purpose, step, start_particle, count, width, out)
         dw *= math.sqrt(dt)
         return dw
 
@@ -366,17 +377,28 @@ class ParticleCloud:
         rec = self.exit_step[m]
         return float(np.count_nonzero(rec >= 0)) / rec.shape[0]
 
-    def update_exits(self, model: ModelSpec, step: int) -> None:
+    def update_exits(self, model: ModelSpec, step: int, work=None) -> dict:
         """Stamp ``step`` on particles seen outside D_m for the first time.
 
         Record arrays are never written in place: a level's array is
         replaced only when some particle exits, so clouds that share records
-        (a step's input and output) never see each other's updates.
+        (a step's input and output) never see each other's updates. The new
+        array is fresh, or the spare record buffer of the loop's ``work``.
+        Returns the masks {m: x inside D_m} that the update tested.
         """
+        records = {} if work is None else work.records
+        inside = {}
         for m, rec in list(self.exit_step.items()):
-            fresh = (rec < 0) & ~model.ladder.contains(self.x, m)
+            inside[m] = model.ladder.contains(self.x, m)
+            fresh = (rec < 0) & ~inside[m]
             if fresh.any():
-                self.exit_step[m] = np.where(fresh, step, rec)
+                new = _Workspace.spare(records.get(m), rec)
+                if new is None:
+                    new = np.empty_like(rec)
+                np.copyto(new, rec)
+                np.copyto(new, step, where=fresh)
+                self.exit_step[m] = new
+        return inside
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +406,65 @@ class ParticleCloud:
 # ---------------------------------------------------------------------------
 
 
-def _displace(x, b, s, dw, dt) -> np.ndarray:
-    """One Euler displacement x + b·Δt + σ·Δw, row by row."""
+class _Workspace:
+    """The buffers one cloud's steps write into instead of fresh arrays.
+
+    ``_run_clouds`` builds one per cloud from its step-0 cloud; a bare
+    ``_Workspace()`` holds none, and a step given it allocates everything.
+    Positions and each level's exit record have two buffers, used in turn:
+    a step writes the one its input cloud does not hold (``spare``), so a
+    cloud's arrays stay valid until the step after next. ``inside`` keeps
+    the cut-level mask that ``update_exits`` computed on the last new
+    positions, with their step: it is the alive mask of the next step.
+    """
+
+    def __init__(self, cloud: ParticleCloud | None = None, model=None):
+        self.x = self.coefficients = self.kick = self.finite = self.sort = None
+        self.records = {}
+        self.inside = (None, None)
+        if cloud is None:
+            return
+        n, d = cloud.x.shape
+        self.x = (np.empty((n, d)), np.empty((n, d)))
+        self.coefficients = (np.empty((n, d)), np.empty((n, d, model.noise_dim)))
+        self.kick = np.empty((n, d))
+        self.finite = np.empty((n, d), dtype=bool)
+        self.sort = np.empty(n)
+        self.records = {
+            m: (np.empty_like(rec), np.empty_like(rec))
+            for m, rec in cloud.exit_step.items()
+        }
+
+    @staticmethod
+    def spare(pair, current):
+        """The buffer of ``pair`` that is not ``current`` (None without one)."""
+        if pair is None:
+            return None
+        return pair[1] if current is pair[0] else pair[0]
+
+    def inside_at(self, step: int):
+        """The cut-level mask of the positions at ``step``, if kept."""
+        return self.inside[1] if self.inside[0] == step else None
+
+
+def _displace(x, b, s, dw, dt, out=None, kick=None) -> np.ndarray:
+    """One Euler displacement x + b·Δt + σ·Δw, row by row.
+
+    ``out`` and ``kick`` are (N, d) buffers for the result and the scratch
+    term; without them both are fresh. The operations are the same.
+    """
     # overflow here *is* the blow-up; the caller turns the resulting
     # non-finite positions into a typed error, so the warning is noise
     with np.errstate(over="ignore", invalid="ignore"):
-        out = x + b * dt
+        out = np.add(x, np.multiply(b, dt, out=kick), out=out)
         if s.shape[1:] == (1, 1):
             # einsum sums its one product onto +0.0, which turns a −0.0
             # product into +0.0; adding 0.0 keeps this path bit-identical
-            kick = s[:, :, 0] * dw
+            kick = np.multiply(s[:, :, 0], dw, out=kick)
             kick += 0.0
-            out += kick
         else:
-            out += np.einsum("ndk,nk->nd", s, dw)
+            kick = np.einsum("ndk,nk->nd", s, dw, out=kick)
+        out += kick
     return out
 
 
@@ -409,6 +476,7 @@ def euler_step(
     shared_dw: np.ndarray | None = None,
     fv: dict | None = None,
     coefficients: tuple | None = None,
+    work: _Workspace | None = None,
 ) -> ParticleCloud:
     """Advance the cloud one grid step (t_i → t_{i+1}); ``cloud`` is untouched.
 
@@ -422,7 +490,17 @@ def euler_step(
     the cut coefficients ``coefficients`` = (b, σ) from
     ``evaluate_coefficients(model, cloud.t, cloud.x, fv, cfg.cut_level)``,
     passes them in instead of having them evaluated a second time.
+
+    Without ``work`` every array the step makes is fresh, and the returned
+    cloud owns its positions. ``work`` is the per-cloud workspace of the
+    engine's own loop (``_run_clouds``): the step writes into its buffers,
+    and the returned cloud's ``x`` and new exit records are workspace
+    buffers that stay valid through the next step of that workspace and are
+    overwritten by the one after. Copy them to keep them longer. The
+    numbers are the same either way.
     """
+    if work is None:
+        work = _Workspace()
     dw = shared_dw
     if dw is None:
         dw = noise.increments(
@@ -430,12 +508,23 @@ def euler_step(
         )
     if coefficients is None:
         if fv is None:
-            fv = evaluate_functionals(model.functionals, cloud.x)
+            fv = evaluate_functionals(model.functionals, cloud.x, work.sort)
         t = cloud.step / cfg.steps_per_unit
-        coefficients = evaluate_coefficients(model, t, cloud.x, fv, cfg.cut_level)
-    x_new = _displace(cloud.x, *coefficients, dw, cfg.dt)
-    if not np.isfinite(x_new).all():
-        i = int(np.argmax(~np.isfinite(x_new).all(axis=1)))
+        coefficients = evaluate_coefficients(
+            model,
+            t,
+            cloud.x,
+            fv,
+            cfg.cut_level,
+            out=work.coefficients,
+            inside=work.inside_at(cloud.step),
+        )
+    x_new = _displace(
+        cloud.x, *coefficients, dw, cfg.dt, work.spare(work.x, cloud.x), work.kick
+    )
+    finite = np.isfinite(x_new, out=work.finite)
+    if not finite.all():
+        i = int(np.argmax(~finite.all(axis=1)))
         t_next = (cloud.step + 1) / cfg.steps_per_unit
         raise BlowUpError(
             f"model {model.name!r}: particle {i} became non-finite at "
@@ -449,7 +538,8 @@ def euler_step(
         step=cloud.step + 1,
         exit_step=dict(cloud.exit_step),
     )
-    nxt.update_exits(model, nxt.step)
+    inside = nxt.update_exits(model, nxt.step, work)
+    work.inside = (nxt.step, inside.get(cfg.cut_level))
     return nxt
 
 
@@ -463,10 +553,11 @@ class DiagnosticsSeries:
     """Checkpoint table with fixed column order plus run metadata.
 
     Columns: t, declared functionals, then (with a Lyapunov package)
-    v_mean, M, M_plus, then exit_frac_<m> per tracked level, then v_sup
-    (the running max of v_mean). ``meta`` records scenario/run facts that
-    are part of reproducibility — never the worker count, which must not
-    influence any output.
+    v_mean, M, M_plus, then exit_frac_<m> per tracked level, then v_sup:
+    the running max of v_mean over the checkpoints recorded so far, not
+    over every step (v_mean is only computed at checkpoints). ``meta``
+    records scenario/run facts that are part of reproducibility — never the
+    worker count, which must not influence any output.
     """
 
     columns: list
@@ -568,18 +659,30 @@ def _run_clouds(model, cfg, noise, clouds, fvs, observe) -> None:
     ``clouds`` is advanced in place: a caller that keeps no other reference
     to the step-0 clouds holds only the current ones, not N·(d + levels)
     words more for the whole run.
+
+    The loop owns its memory: one noise buffer, and one ``_Workspace`` per
+    cloud that ``euler_step`` writes into, so a step allocates no N-sized
+    array of its own beyond what the model's coefficient callables return
+    and the masks its box tests make. ``observe`` sees positions that the
+    step after next overwrites; it copies what it keeps.
     """
     marks = set(cfg.checkpoint_steps())
+    n = clouds[0].n
+    dw = np.empty((n, model.noise_dim))
+    works = [_Workspace(c, model) for c in clouds]
     observe(clouds, fvs)
     for i in range(cfg.total_steps):
-        dw = noise.increments(i, 0, clouds[0].n, model.noise_dim, cfg.dt)
+        noise.increments(i, 0, n, model.noise_dim, cfg.dt, out=dw)
         clouds[:] = [
-            euler_step(c, model, cfg, noise, shared_dw=dw, fv=fv)
-            for c, fv in zip(clouds, fvs)
+            euler_step(c, model, cfg, noise, shared_dw=dw, fv=fv, work=w)
+            for c, fv, w in zip(clouds, fvs, works)
         ]
         fvs = [None] * len(clouds)
         if i + 1 in marks:
-            fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
+            fvs = [
+                evaluate_functionals(model.functionals, c.x, w.sort)
+                for c, w in zip(clouds, works)
+            ]
             observe(clouds, fvs)
 
 

@@ -134,20 +134,42 @@ def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
 
 
 @pytest.mark.parametrize(
-    "text, flags, message",
+    "command, text, flags, message",
     [
-        (SIM_CFG + "sim.threads = 0\n", [], "sim.threads: must be >= 1"),
-        (SIM_CFG, ["--threads", "0"], "sim.threads: must be >= 1"),
-        (SIM_CFG.replace("horizon = 0.5", "horizon = 0.51"), [], "off the grid"),
+        ("simulate", SIM_CFG + "sim.threads = 0\n", [], "sim.threads: must be >= 1"),
+        ("simulate", SIM_CFG, ["--threads", "0"], "sim.threads: must be >= 1"),
+        (
+            "simulate",
+            SIM_CFG.replace("horizon = 0.5", "horizon = 0.51"),
+            [],
+            "off the grid",
+        ),
+        ("lions-check", SIM_CFG, ["--threads", "0"], "sim.threads: must be >= 1"),
+        ("lyapunov-check", SIM_CFG + "sim.threads = 0\n", [], "sim.threads: must be >= 1"),
+        ("wasserstein", SIM_CFG, ["--threads", "-1"], "sim.threads: must be >= 1"),
     ],
-    ids=["sim.threads", "--threads", "off-grid-horizon"],
+    ids=[
+        "sim.threads",
+        "--threads",
+        "off-grid-horizon",
+        "lions-check",
+        "lyapunov-check",
+        "wasserstein",
+    ],
 )
-def test_unusable_run_settings_exit_with_code_2(tmp_path, capsys, text, flags, message):
+def test_unusable_run_settings_exit_with_code_2(
+    tmp_path, capsys, command, text, flags, message
+):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "bad"
-    assert main(["simulate", "--config", cfg, "--out", str(out), *flags]) == 2
+    argv = [command, "--config", cfg, "--out", str(out), *flags]
+    if command == "wasserstein":
+        sample = tmp_path / "a.txt"
+        sample.write_text("0.0\n1.0\n")
+        argv += [str(sample), str(sample)]
+    assert main(argv) == 2
     assert message in capsys.readouterr().err
-    assert not (out / "diagnostics.csv").exists()
+    assert not list(out.glob("*"))
 
 
 def test_scenario_parameters_parse_as_floats():

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -285,3 +287,25 @@ def test_full_residual_runs_on_the_last_stream():
     series = ito_residual_full(sc.lyap, sc.model, cfg, UniformBox(-0.5, 0.5))
     assert len(series.rows) == len(cfg.checkpoint_steps())
     assert all(math.isfinite(v) for row in series.rows for v in row)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["measure", "full"])
+def test_no_steps_positions_outlive_their_step(monkeypatch, full):
+    # the residual loops keep no name for the step-0 positions, so memory
+    # holds the current cloud(s) only, however long the run
+    lions = sys.modules["mkvlab.lions"]
+    step, seen = lions.euler_step, []
+
+    def watched(cloud, *args, **kwargs):
+        seen.append(weakref.ref(cloud.x))
+        assert all(r() is None for r in seen[:-2])
+        return step(cloud, *args, **kwargs)
+
+    monkeypatch.setattr(lions, "euler_step", watched)
+    sc = builtin_scenario("example2-nonlinear")
+    cfg = SimConfig(n_particles=30, horizon=0.25, steps_per_unit=20, cut_level=4, seed=1)
+    if full:
+        ito_residual_full(sc.lyap, sc.model, cfg, UniformBox(-0.5, 0.5))
+    else:
+        ito_residual_measure(moment_function(2), sc.model, cfg, UniformBox(-0.5, 0.5))
+    assert len(seen) == (2 if full else 1) * cfg.total_steps

@@ -145,7 +145,10 @@ def assert_shortfall_matches_full_sort(x, alpha):
     mu = EmpiricalMeasure(x[:, None])
     mu.sorted_axis()
     cached = expected_shortfall(mu, alpha)  # cached-sort path
+    scratch = np.full(x.size, np.nan)
+    in_scratch = expected_shortfall(EmpiricalMeasure(x[:, None], scratch), alpha)
     assert repr(fresh) == repr(want) and repr(cached) == repr(want)
+    assert repr(in_scratch) == repr(want)
 
 
 @settings(max_examples=150, deadline=None)

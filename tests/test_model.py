@@ -134,6 +134,42 @@ def test_cut_agrees_with_uncut_inside_the_box():
     assert np.all(b_cut[~inside] == 0.0) and np.all(s_cut[~inside] == 0.0)
 
 
+def test_coefficient_buffers_and_a_given_cut_mask_change_nothing():
+    sc = builtin_scenario("example3-cir")
+    x = np.linspace(-0.5, 6.0, 41)[:, None]  # outside D, outside D_5, inside
+    fv = {key: 1.2 for key in sc.model.functional_keys()}
+    want = evaluate_coefficients(sc.model, 0.0, x, fv, cut_level=5)
+    out = (np.full((41, 1), np.nan), np.full((41, 1, 1), np.nan))
+    got = evaluate_coefficients(
+        sc.model, 0.0, x, fv, 5, out=out, inside=sc.model.ladder.contains(x, 5)
+    )
+    assert got[0] is out[0] and got[1] is out[1]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    # a short constant diffusion comes back as one σ per particle
+    assert (want[1][sc.model.ladder.contains(x, 5)] == 0.5).all()
+
+
+def test_non_finite_coefficients_raise_only_inside_the_cut_domain():
+    model = ModelSpec(
+        name="pole",
+        dim=1,
+        noise_dim=1,
+        drift=lambda t, x, fv: 1.0 / (x - 2.0),
+        diffusion=lambda t, x, fv: np.ones((1, 1, 1)),
+        functionals=(),
+        ladder=DomainLadder.full_space(1),
+        local_bound=lambda k: float(k),
+    )
+    x = np.array([[0.0], [2.0], [1.0]])
+    with pytest.raises(FloatingPointError, match=r"x=\[2\.\]"):
+        evaluate_coefficients(model, 0.0, x, {}, cut_level=3)
+    # outside D_1 the pole is cut away and its row is zero
+    b, s = evaluate_coefficients(model, 0.0, x, {}, cut_level=1)
+    assert b.tolist() == [[-0.5], [0.0], [-1.0]]
+    assert s[:, 0, 0].tolist() == [1.0, 0.0, 1.0]
+
+
 def test_missing_functional_value_is_an_error():
     sc = builtin_scenario("example1-quartic")
     with pytest.raises(ValueError, match="missing functional"):

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mkvlab.measure import evaluate_functionals
@@ -20,6 +22,7 @@ from mkvlab.simulate import (
     SimConfig,
     UniformBox,
     _displace,
+    _run_clouds,
     coupled_simulate,
     euler_step,
     load_initial_samples,
@@ -232,6 +235,62 @@ def test_brownian_increments_scale_with_the_step():
     z = ns.normals(NoiseStream.PURPOSE_STEP, 4, 0, 5, 1)
     dw = ns.increments(4, 0, 5, 1, 0.25)
     assert np.array_equal(dw, 0.5 * z)
+
+
+noise_keys = dict(
+    seed=st.integers(0, (1 << 64) - 1),
+    stream=st.integers(0, 255),
+    purpose=st.integers(0, 255),
+    step=st.integers(0, (1 << 48) - 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    **noise_keys,
+    n=st.integers(1, 400),
+    width=st.integers(1, 4),
+    dt=st.floats(1e-6, 10.0),
+)
+def test_increments_into_a_buffer_equal_the_allocating_draw(
+    seed, stream, purpose, step, n, width, dt
+):
+    ns = NoiseStream(seed, stream)
+    want = ns.increments(step, 0, n, width, dt, purpose)
+    buf = np.full((n, width), np.nan)
+    got = ns.increments(step, 0, n, width, dt, purpose, out=buf)
+    assert got is buf
+    assert got.tobytes() == want.tobytes()
+    for start, shape in ((0, (n + 1, width)), (1, (n, width))):
+        with pytest.raises(ValueError, match="particle 0"):
+            ns.increments(step, start, n, width, dt, purpose, out=np.empty(shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**noise_keys, n=st.integers(1, 400), width=st.integers(1, 4), data=st.data())
+def test_normals_are_prefix_stable(seed, stream, purpose, step, n, width, data):
+    ns = NoiseStream(seed, stream)
+    whole = ns.normals(purpose, step, 0, n, width)
+    k = data.draw(st.integers(0, n), label="k")
+    assert ns.normals(purpose, step, 0, k, width).tobytes() == whole[:k].tobytes()
+    assert ns.normals(purpose, step, k, n - k, width).tobytes() == whole[k:].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**noise_keys, n=st.integers(1, 400), width=st.integers(1, 4), data=st.data())
+def test_uniforms_are_random_access_over_any_split(
+    seed, stream, purpose, step, n, width, data
+):
+    ns = NoiseStream(seed, stream)
+    whole = ns.uniforms(purpose, step, 0, n, width)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6), label="cuts"))
+    edges = [0, *cuts, n]
+    # every block is drawn on its own, in reverse order, from its offset
+    blocks = [
+        ns.uniforms(purpose, step, lo, hi - lo, width)
+        for lo, hi in reversed(list(zip(edges, edges[1:])))
+    ]
+    assert np.vstack(blocks[::-1]).tobytes() == whole.tobytes()
 
 
 def test_noise_key_ranges_are_enforced():
@@ -525,3 +584,123 @@ def test_no_steps_cloud_outlives_its_step(monkeypatch):
         sc.model, small_cfg(), PointMass(0.0), PointMass(1.0), vbar=lambda z: z**2
     )
     assert len(seen) == 3 * small_cfg().total_steps
+
+
+# ---------------------------------------------------------------------------
+# the engine's own loop
+# ---------------------------------------------------------------------------
+
+
+def cloud_state(c):
+    return (c.step, c.x.tobytes(), {m: r.tobytes() for m, r in c.exit_step.items()})
+
+
+def loop_states(model, cfg, clouds):
+    """What ``_run_clouds`` hands ``observe``: step, positions, exit records.
+
+    A cloud seen at one step must still read the same at the next one.
+    """
+    states, last = [], []
+
+    def observe(clouds, fvs):
+        for c, state in last:
+            if c.step + 1 == clouds[0].step:
+                assert cloud_state(c) == state
+        states.append([cloud_state(c) for c in clouds])
+        last[:] = [(c, s) for c, s in zip(clouds, states[-1])]
+
+    fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
+    _run_clouds(model, cfg, NoiseStream(cfg.seed), clouds, fvs, observe)
+    return states
+
+
+def hand_states(model, cfg, clouds):
+    """The same states from public ``euler_step``, allocating every array.
+
+    The first cloud draws its own increments; the others get the same draw.
+    """
+    noise = NoiseStream(cfg.seed)
+    marks = set(cfg.checkpoint_steps())
+    states = []
+    for i in range(cfg.total_steps):
+        if i in marks:
+            states.append([cloud_state(c) for c in clouds])
+        dw = noise.increments(i, 0, clouds[0].n, model.noise_dim, cfg.dt)
+        clouds = [euler_step(clouds[0], model, cfg, noise)] + [
+            euler_step(c, model, cfg, noise, shared_dw=dw) for c in clouds[1:]
+        ]
+    states.append([cloud_state(c) for c in clouds])  # the last step is a mark
+    return states
+
+
+LOOP_CASES = {
+    # (init law, cut level, exit levels): wide laws, so that particles start
+    # outside the cut box or cross it, and freeze there
+    "example1-quartic": (UniformBox(-2.5, 2.5), 2, (1,)),
+    "example2-nonlinear": (UniformBox(-2.5, 2.5), 2, (1,)),
+    "example3-cir": (UniformBox(0.15, 6.0), 5, (2, 3, 5)),
+    "linear-meanfield": (UniformBox(-3.0, 3.0), 2, (1,)),
+    "scheutzow-clip": (UniformBox(-3.0, 3.0), 2, (1,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_CASES))
+def test_engine_loop_equals_a_hand_loop_of_euler_step(name):
+    # the workspace loop reuses its buffers and shares the cut mask between
+    # a step's exit update and the next step's coefficients; none of that
+    # may change a bit of the positions or of any exit record
+    sc = builtin_scenario(name)
+    init, cut, levels = LOOP_CASES[name]
+    cfg = SimConfig(
+        n_particles=400,
+        horizon=2.0,
+        steps_per_unit=20,
+        cut_level=cut,
+        exit_levels=levels,
+        seed=9,
+        checkpoints=(0.5, 0.55, 1.0, 1.05, 1.1, 2.0),
+    )
+
+    def clouds():
+        noise = NoiseStream(cfg.seed)
+        return [
+            ParticleCloud.create(
+                init.sample(cfg.n_particles, 1, noise, purpose),
+                sc.model,
+                cfg.tracked_levels(),
+            )
+            for purpose in (NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_INIT2)
+        ]
+
+    got = loop_states(sc.model, cfg, clouds())
+    want = hand_states(sc.model, cfg, clouds())
+    assert len(got) == len(cfg.checkpoint_steps())
+    assert got == want
+    # the case is not trivial: particles froze at the cut during the run,
+    # and others never left it
+    first_exits = np.frombuffer(got[-1][0][2][cut], dtype=np.int64)
+    assert (first_exits > 0).any() and (first_exits < 0).any()
+
+
+def test_engine_loop_blows_up_at_the_hand_loop_step():
+    runaway = ModelSpec(
+        name="runaway",
+        dim=1,
+        noise_dim=1,
+        drift=lambda t, x, fv: x * 1.0,
+        diffusion=lambda t, x, fv: np.zeros((1, 1, 1)),
+        functionals=(),
+        ladder=DomainLadder.full_space(1),
+        local_bound=lambda k: float(k),
+    )
+    # x doubles every step until the position, not the drift, overflows
+    cfg = SimConfig(
+        n_particles=3, horizon=40.0, steps_per_unit=1, cut_level=1.7e308, seed=0
+    )
+    x0 = np.array([[1e300], [1.0], [-1e299]])
+    steps = []
+    for run in (loop_states, hand_states):
+        with pytest.raises(BlowUpError) as ei:
+            run(runaway, cfg, [ParticleCloud.create(x0, runaway, cfg.tracked_levels())])
+        steps.append(ei.value.step)
+    assert steps[0] == steps[1] > 1
