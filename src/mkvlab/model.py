@@ -289,7 +289,6 @@ def evaluate_coefficients(
     fv: dict,
     cut_level: int | None = None,
     out: tuple[np.ndarray, np.ndarray] | None = None,
-    inside: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate (b, σ) at (t, x, fv), zeroed outside D_k and outside D.
 
@@ -300,9 +299,7 @@ def evaluate_coefficients(
     a model bug and raises.
 
     ``out`` = (b, σ) buffers of those shapes receive the result, which is
-    then returned; otherwise fresh arrays are. ``inside``, the membership
-    mask of ``x`` in D_k that a caller already holds, saves testing the cut
-    box again. Either way the values are the same.
+    then returned; otherwise fresh arrays are. The values are the same.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -313,7 +310,7 @@ def evaluate_coefficients(
 
     alive = model.ladder.contains(x)
     if cut_level is not None:
-        alive &= model.ladder.contains(x, cut_level) if inside is None else inside
+        alive &= model.ladder.contains(x, cut_level)
 
     with np.errstate(all="ignore"):
         b = np.asarray(model.drift(t, x, fv), dtype=float)

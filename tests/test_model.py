@@ -134,15 +134,13 @@ def test_cut_agrees_with_uncut_inside_the_box():
     assert np.all(b_cut[~inside] == 0.0) and np.all(s_cut[~inside] == 0.0)
 
 
-def test_coefficient_buffers_and_a_given_cut_mask_change_nothing():
+def test_coefficient_buffers_change_nothing():
     sc = builtin_scenario("example3-cir")
     x = np.linspace(-0.5, 6.0, 41)[:, None]  # outside D, outside D_5, inside
     fv = {key: 1.2 for key in sc.model.functional_keys()}
     want = evaluate_coefficients(sc.model, 0.0, x, fv, cut_level=5)
     out = (np.full((41, 1), np.nan), np.full((41, 1, 1), np.nan))
-    got = evaluate_coefficients(
-        sc.model, 0.0, x, fv, 5, out=out, inside=sc.model.ladder.contains(x, 5)
-    )
+    got = evaluate_coefficients(sc.model, 0.0, x, fv, 5, out=out)
     assert got[0] is out[0] and got[1] is out[1]
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()

@@ -330,15 +330,19 @@ def test_scalar_update_matches_the_general_einsum_path():
     grid = np.array(np.meshgrid(vals, vals, vals, vals)).reshape(4, -1).T
     x, b, s, dw = (grid[:, j][:, None] for j in range(4))
     dt = 1e-3
-    got = _displace(x, b, s[:, :, None], dw, dt)
     want = x + b * dt + np.einsum("ndk,nk->nd", s[:, :, None], dw)
-    assert got.tobytes() == want.tobytes()
+    assert _displace(x, b, s[:, :, None], dw, dt).tobytes() == want.tobytes()
     # d = 2, d' = 3 goes through the einsum itself
     rng = np.random.default_rng(0)
     x2, b2 = rng.standard_normal((2, 5, 2))
     s2, dw2 = rng.standard_normal((5, 2, 3)), rng.standard_normal((5, 3))
     want2 = x2 + b2 * dt + np.einsum("ndk,nk->nd", s2, dw2)
     assert _displace(x2, b2, s2, dw2, dt).tobytes() == want2.tobytes()
+    # both paths again, writing into the loop's result and scratch buffers
+    for args, w in (((x, b, s[:, :, None], dw), want), ((x2, b2, s2, dw2), want2)):
+        out, kick = np.full(w.shape, np.nan), np.full(w.shape, np.nan)
+        got = _displace(*args, dt, out=out, kick=kick)
+        assert got is out and got.tobytes() == w.tobytes()
 
 
 def test_euler_step_leaves_its_input_cloud_alone():
@@ -644,13 +648,9 @@ LOOP_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LOOP_CASES))
-def test_engine_loop_equals_a_hand_loop_of_euler_step(name):
-    # the workspace loop reuses its buffers and shares the cut mask between
-    # a step's exit update and the next step's coefficients; none of that
-    # may change a bit of the positions or of any exit record
-    sc = builtin_scenario(name)
-    init, cut, levels = LOOP_CASES[name]
+def assert_loop_equals_hand_loop(model, init, cut, levels):
+    # the workspace loop reuses its buffers; that may not change a bit of
+    # the positions or of any exit record
     cfg = SimConfig(
         n_particles=400,
         horizon=2.0,
@@ -665,21 +665,42 @@ def test_engine_loop_equals_a_hand_loop_of_euler_step(name):
         noise = NoiseStream(cfg.seed)
         return [
             ParticleCloud.create(
-                init.sample(cfg.n_particles, 1, noise, purpose),
-                sc.model,
+                init.sample(cfg.n_particles, model.dim, noise, purpose),
+                model,
                 cfg.tracked_levels(),
             )
             for purpose in (NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_INIT2)
         ]
 
-    got = loop_states(sc.model, cfg, clouds())
-    want = hand_states(sc.model, cfg, clouds())
+    got = loop_states(model, cfg, clouds())
+    want = hand_states(model, cfg, clouds())
     assert len(got) == len(cfg.checkpoint_steps())
     assert got == want
     # the case is not trivial: particles froze at the cut during the run,
     # and others never left it
     first_exits = np.frombuffer(got[-1][0][2][cut], dtype=np.int64)
     assert (first_exits > 0).any() and (first_exits < 0).any()
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_CASES))
+def test_engine_loop_equals_a_hand_loop_of_euler_step(name):
+    assert_loop_equals_hand_loop(builtin_scenario(name).model, *LOOP_CASES[name])
+
+
+def test_engine_loop_equals_a_hand_loop_in_two_dimensions():
+    # d = 2, d' = 3: the update goes through the einsum, into the workspace
+    plane = ModelSpec(
+        name="plane",
+        dim=2,
+        noise_dim=3,
+        drift=lambda t, x, fv: 0.3 * x[:, ::-1] - x,
+        diffusion=lambda t, x, fv: 0.4 * np.stack([np.sin(x), np.cos(x), x], 2),
+        functionals=(),
+        ladder=DomainLadder.full_space(2),
+        local_bound=lambda k: 2.0 * k,
+    )
+    box = UniformBox((-2.5, -2.5), (2.5, 2.5))
+    assert_loop_equals_hand_loop(plane, box, 2, (1, 2))
 
 
 def test_engine_loop_blows_up_at_the_hand_loop_step():
