@@ -60,15 +60,24 @@ class EmpiricalMeasure:
     functionals require d = 1. ``scratch``, an (N,) float64 buffer, is
     where ``smallest`` partitions instead of in a fresh copy; it is
     overwritten, and what ``smallest`` returns is a view of it.
+
+    Samples must be finite. ``_finite`` is for the Euler engine only: it
+    skips that check on positions its step has just checked.
     """
 
-    def __init__(self, samples: np.ndarray, scratch: np.ndarray | None = None):
+    def __init__(
+        self,
+        samples: np.ndarray,
+        scratch: np.ndarray | None = None,
+        *,
+        _finite: bool = False,
+    ):
         samples = np.asarray(samples, dtype=float)
         if samples.ndim == 1:
             samples = samples[:, None]
         if samples.ndim != 2 or samples.shape[0] < 1:
             raise ValueError("samples must be a nonempty (N, d) array")
-        if not np.isfinite(samples).all():
+        if not _finite and not np.isfinite(samples).all():
             raise ValueError("samples must be finite")
         self.samples = samples
         self._scratch = scratch
@@ -118,8 +127,10 @@ class EmpiricalMeasure:
         return self.samples[:, 0]
 
 
-def _as_measure(mu, scratch=None) -> EmpiricalMeasure:
-    return mu if isinstance(mu, EmpiricalMeasure) else EmpiricalMeasure(mu, scratch)
+def _as_measure(mu, scratch=None, _finite=False) -> EmpiricalMeasure:
+    if isinstance(mu, EmpiricalMeasure):
+        return mu
+    return EmpiricalMeasure(mu, scratch, _finite=_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +181,17 @@ def evaluate_functionals(
     tags: tuple[MeasureFunctionalTag, ...],
     samples: np.ndarray,
     scratch: np.ndarray | None = None,
+    *,
+    _finite: bool = False,
 ) -> dict:
     """Evaluate declared functionals on a raw (N, d) sample array.
 
     Returns {tag.key: float}. All reductions go through the deterministic
-    tree so the values never depend on worker scheduling. ``scratch`` is
-    handed to ``EmpiricalMeasure`` (see there); the values do not change.
+    tree so the values never depend on worker scheduling. ``scratch`` and
+    the engine-only ``_finite`` are handed to ``EmpiricalMeasure`` (see
+    there); the values do not change.
     """
-    mu = _as_measure(samples, scratch)
+    mu = _as_measure(samples, scratch, _finite)
     fv: dict = {}
     for tag in tags:
         if tag.kind == "raw-moment":

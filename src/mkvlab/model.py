@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -147,6 +148,11 @@ class DomainLadder:
             if math.isfinite(hi):
                 ok &= x[:, a] < hi
         return ok
+
+    @cached_property
+    def whole_space(self) -> bool:
+        """True when D = ℝ^d: no bound is finite, so every position is in D."""
+        return not any(math.isfinite(end) for end in (*self.lower, *self.upper))
 
     def validate_ladder(self, k_max: int = 64) -> None:
         """Check nesting, containment in D, and exhaustion up to ``k_max``."""
@@ -286,7 +292,7 @@ def evaluate_coefficients(
     model: ModelSpec,
     t: float,
     x: np.ndarray,
-    fv: dict,
+    fv: dict | list,
     cut_level: int | None = None,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -298,32 +304,47 @@ def evaluate_coefficients(
     A non-finite coefficient at a point that is *inside* the (cut) domain is
     a model bug and raises.
 
+    ``fv`` may also be a list of R dicts when ``x`` stacks R clouds of equal
+    size, one after the other: the model's callables then see each cloud's
+    rows with that cloud's own dict, and the masking and the finiteness
+    check run once over all rows.
+
     ``out`` = (b, σ) buffers of those shapes receive the result, which is
     then returned; otherwise fresh arrays are. The values are the same.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    missing = [k for k in model.functional_keys() if k not in fv]
-    if missing:
-        raise ValueError(f"missing functional values: {missing}")
+    fvs = [fv] if isinstance(fv, dict) else fv
+    if x.shape[0] % len(fvs):
+        raise ValueError(f"{x.shape[0]} rows do not split into {len(fvs)} clouds")
+    for f in fvs:
+        missing = [k for k in model.functional_keys() if k not in f]
+        if missing:
+            raise ValueError(f"missing functional values: {missing}")
 
-    alive = model.ladder.contains(x)
-    if cut_level is not None:
-        alive &= model.ladder.contains(x, cut_level)
+    ladder = model.ladder
+    if cut_level is None:
+        alive = ladder.contains(x)
+    else:
+        alive = ladder.contains(x, cut_level)
+        if not ladder.whole_space:
+            alive &= ladder.contains(x)
 
-    with np.errstate(all="ignore"):
-        b = np.asarray(model.drift(t, x, fv), dtype=float)
-        s = np.asarray(model.diffusion(t, x, fv), dtype=float)
     shape_b = (x.shape[0], model.dim)
     if out is None:
         out = (np.empty(shape_b), np.empty((*shape_b, model.noise_dim)))
-    # np.where(alive, value, 0.0), written into the buffers: copy (a short
-    # return broadcasts as it is copied), then zero the dead rows
+    # np.where(alive, value, 0.0), written into the buffers: copy each
+    # cloud's values (a short return broadcasts as it is copied), then zero
+    # the dead rows
+    n = x.shape[0] // len(fvs)
+    with np.errstate(all="ignore"):
+        for j, f in enumerate(fvs):
+            rows = slice(j * n, (j + 1) * n)
+            np.copyto(out[0][rows], np.asarray(model.drift(t, x[rows], f), float))
+            np.copyto(out[1][rows], np.asarray(model.diffusion(t, x[rows], f), float))
     dead = ~alive
-    np.copyto(out[0], b)
     np.copyto(out[0], 0.0, where=dead[:, None])
-    np.copyto(out[1], s)
     np.copyto(out[1], 0.0, where=dead[:, None, None])
     b, s = out
     # zeroed entries are finite, so a non-finite entry is an in-domain one

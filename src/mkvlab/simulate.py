@@ -15,7 +15,9 @@ over particles, and byte-reproducible for a given numpy version (see
 ``NoiseStream``).
 
 The engine is serial: ``simulate`` and ``coupled_simulate`` share one time
-loop that draws each step's increments once and hands them to every cloud.
+loop. It stacks the clouds that share their noise (one, or a coupled pair)
+into one block of rows, draws each step's increments once, and advances the
+whole block with one ``euler_step``.
 """
 
 from __future__ import annotations
@@ -369,6 +371,43 @@ class ParticleCloud:
             exit_step[ladder_level(m)] = rec
         return ParticleCloud(x=x0, t=0.0, step=0, exit_step=exit_step)
 
+    @staticmethod
+    def stack(clouds) -> "ParticleCloud":
+        """One cloud holding the rows of ``clouds`` (all at one step), in order.
+
+        A single cloud is returned as it is; otherwise positions and exit
+        records are copied into new arrays.
+        """
+        if len(clouds) == 1:
+            return clouds[0]
+        first = clouds[0]
+        return ParticleCloud(
+            x=np.concatenate([c.x for c in clouds]),
+            t=first.t,
+            step=first.step,
+            exit_step={
+                m: np.concatenate([c.exit_step[m] for c in clouds])
+                for m in first.exit_step
+            },
+        )
+
+    def split(self, r: int) -> list:
+        """The ``r`` equal clouds stacked in this one, as views of its rows."""
+        if r == 1:
+            return [self]
+        n = self.n // r
+        return [
+            ParticleCloud(
+                x=self.x[j * n : (j + 1) * n],
+                t=self.t,
+                step=self.step,
+                exit_step={
+                    m: rec[j * n : (j + 1) * n] for m, rec in self.exit_step.items()
+                },
+            )
+            for j in range(r)
+        ]
+
     @property
     def n(self) -> int:
         return self.x.shape[0]
@@ -403,9 +442,10 @@ class ParticleCloud:
 
 
 class _Workspace:
-    """The buffers one cloud's steps write into instead of fresh arrays.
+    """The buffers the steps of one cloud, or of one block of stacked clouds,
+    write into instead of fresh arrays.
 
-    ``_run_clouds`` builds one per cloud from its step-0 cloud; a bare
+    ``_run_clouds`` builds one from its step-0 block; a bare
     ``_Workspace()`` holds none, and a step given it allocates everything.
     Positions and each level's exit record have two buffers, used in turn:
     a step writes the one its input cloud does not hold (``spare``), so a
@@ -417,7 +457,7 @@ class _Workspace:
     """
 
     def __init__(self, cloud: ParticleCloud | None = None, model=None):
-        self.x = self.coefficients = self.kick = self.finite = self.sort = None
+        self.x = self.coefficients = self.kick = self.finite = None
         self.records = {}
         if cloud is None:
             return
@@ -426,7 +466,6 @@ class _Workspace:
         self.coefficients = (np.empty((n, d)), np.empty((n, d, model.noise_dim)))
         self.kick = np.empty((n, d))
         self.finite = np.empty((n, d), dtype=bool)
-        self.sort = np.empty(n)
         self.records = {
             m: (np.empty_like(rec), np.empty_like(rec))
             for m, rec in cloud.exit_step.items()
@@ -443,20 +482,30 @@ class _Workspace:
 def _displace(x, b, s, dw, dt, out=None, kick=None) -> np.ndarray:
     """One Euler displacement x + b·Δt + σ·Δw, row by row.
 
-    ``out`` and ``kick`` are (N, d) buffers for the result and the scratch
-    term; without them both are fresh. The operations are the same.
+    ``x``, ``b`` and ``s`` may stack R clouds of the N rows of ``dw``: row i
+    of every cloud moves with increment i, and ``dw`` is never copied.
+    ``out`` and ``kick`` are buffers of ``x``'s shape for the result and the
+    scratch term; without them both are fresh. The operations are the same.
     """
+    n = dw.shape[0]
+    r = x.shape[0] // n
     # overflow here *is* the blow-up; the caller turns the resulting
     # non-finite positions into a typed error, so the warning is noise
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.add(x, np.multiply(b, dt, out=kick), out=out)
         if s.shape[1:] == (1, 1):
             # einsum sums its one product onto +0.0, which turns a −0.0
-            # product into +0.0; adding 0.0 keeps this path bit-identical
-            kick = np.multiply(s[:, :, 0], dw, out=kick)
+            # product into +0.0; adding 0.0 keeps this path bit-identical.
+            # The R clouds multiply as (R, N, 1) against dw's (N, 1).
+            view = None if kick is None else kick.reshape(r, n, 1)
+            kick = np.multiply(s[:, :, 0].reshape(r, -1, 1), dw, out=view)
+            kick = kick.reshape(out.shape)
             kick += 0.0
         else:
-            kick = np.einsum("ndk,nk->nd", s, dw, out=kick)
+            if kick is None:
+                kick = np.empty(out.shape)
+            for j in range(0, x.shape[0], n):
+                np.einsum("ndk,nk->nd", s[j : j + n], dw, out=kick[j : j + n])
         out += kick
     return out
 
@@ -467,7 +516,7 @@ def euler_step(
     cfg: SimConfig,
     noise: NoiseStream,
     shared_dw: np.ndarray | None = None,
-    fv: dict | None = None,
+    fv: dict | list | None = None,
     coefficients: tuple | None = None,
     work: _Workspace | None = None,
 ) -> ParticleCloud:
@@ -484,9 +533,19 @@ def euler_step(
     ``evaluate_coefficients(model, cloud.t, cloud.x, fv, cfg.cut_level)``,
     passes them in instead of having them evaluated a second time.
 
+    ``cloud`` may be a block of R clouds of N particles each, stacked in
+    order (``ParticleCloud.stack``), that share their noise: ``fv`` is then
+    the list of the R clouds' functional values, ``shared_dw`` (or the draw)
+    holds N rows that every cloud uses, and a blow-up names the particle by
+    its index within its own cloud. Each cloud's numbers are those of its own
+    step, and so is the error when one cloud faults. When a cloud blows up at
+    a step where a later cloud's coefficients are non-finite, the block
+    reports the coefficient fault, where R steps in order would report the
+    blow-up.
+
     Without ``work`` every array the step makes is fresh, and the returned
-    cloud owns its positions. ``work`` is the per-cloud workspace of the
-    engine's own loop (``_run_clouds``): the step writes into its buffers,
+    cloud owns its positions. ``work`` is the workspace of the engine's own
+    loop (``_run_clouds``): the step writes into its buffers,
     and the returned cloud's ``x`` and new exit records are workspace
     buffers that stay valid through the next step of that workspace and are
     overwritten by the one after. Copy them to keep them longer. The
@@ -494,14 +553,13 @@ def euler_step(
     """
     if work is None:
         work = _Workspace()
+    n = cloud.n if fv is None or isinstance(fv, dict) else cloud.n // len(fv)
     dw = shared_dw
     if dw is None:
-        dw = noise.increments(
-            cloud.step, 0, cloud.n, model.noise_dim, cfg.dt
-        )
+        dw = noise.increments(cloud.step, 0, n, model.noise_dim, cfg.dt)
     if coefficients is None:
         if fv is None:
-            fv = evaluate_functionals(model.functionals, cloud.x, work.sort)
+            fv = evaluate_functionals(model.functionals, cloud.x)
         t = cloud.step / cfg.steps_per_unit
         coefficients = evaluate_coefficients(
             model, t, cloud.x, fv, cfg.cut_level, out=work.coefficients
@@ -511,7 +569,7 @@ def euler_step(
     )
     finite = np.isfinite(x_new, out=work.finite)
     if not finite.all():
-        i = int(np.argmax(~finite.all(axis=1)))
+        i = int(np.argmax(~finite.all(axis=1))) % n
         t_next = (cloud.step + 1) / cfg.steps_per_unit
         raise BlowUpError(
             f"model {model.name!r}: particle {i} became non-finite at "
@@ -635,41 +693,48 @@ def _base_meta(model, cfg) -> dict:
 def _run_clouds(model, cfg, noise, clouds, fvs, observe) -> None:
     """The time loop of ``simulate`` and ``coupled_simulate``.
 
-    Each step draws its increments once and hands them to every cloud, so
-    coupled clouds share their noise particle by particle, and a lone cloud
-    gets the very draw ``euler_step`` would make for itself. ``fvs`` holds
-    each cloud's functional values at step 0. At every checkpoint step (the
-    checkpoints always include step 0) the functionals are reduced once,
-    ``observe(clouds, fvs)`` is called, and the next step reuses them.
+    The R clouds in ``clouds`` share their noise: each step draws its
+    increments once, and particle i of every cloud moves with increment i,
+    so a lone cloud gets the very draw ``euler_step`` would make for itself.
+    The clouds are stacked once into one block of R·N rows, and each step is
+    one ``euler_step`` of the block, so the step's fixed cost is paid once,
+    not per cloud. After each step the loop reduces every cloud's
+    functionals on its own rows, for the next step. ``fvs`` holds each
+    cloud's functional values at step 0. At every checkpoint step (the
+    checkpoints always include step 0) ``observe(clouds, fvs)`` is called
+    with each cloud as a ``ParticleCloud`` view of its rows of the block.
 
-    ``clouds`` is advanced in place: a caller that keeps no other reference
-    to the step-0 clouds holds only the current ones, not N·(d + levels)
-    words more for the whole run.
+    ``clouds`` is emptied once it is stacked: a caller that keeps no other
+    reference to the step-0 clouds does not hold them, N·(d + levels) words
+    each, for the whole run.
 
-    The loop owns its memory: one noise buffer, and one ``_Workspace`` per
-    cloud that ``euler_step`` writes into, so a step allocates no N-sized
-    array of its own beyond what the model's coefficient callables return
-    and the masks its box tests make. ``observe`` sees positions that the
-    step after next overwrites; it copies what it keeps.
+    The loop owns its memory: one noise buffer, one ``_Workspace`` for the
+    block that ``euler_step`` writes into, and one buffer the expected
+    shortfall partitions in, so a step allocates no N-sized array of its
+    own beyond what the model's coefficient callables return and the masks
+    its box tests make. ``observe`` sees positions that
+    the step after next overwrites; it copies what it keeps.
     """
     marks = set(cfg.checkpoint_steps())
-    n = clouds[0].n
-    dw = np.empty((n, model.noise_dim))
-    works = [_Workspace(c, model) for c in clouds]
-    observe(clouds, fvs)
+    r, n = len(clouds), clouds[0].n
+    block = ParticleCloud.stack(clouds)
+    clouds.clear()
+    rows = [slice(j * n, (j + 1) * n) for j in range(r)]
+    dw, scratch = np.empty((n, model.noise_dim)), np.empty(n)
+    work = _Workspace(block, model)
+    observe(block.split(r), fvs)
     for i in range(cfg.total_steps):
         noise.increments(i, 0, n, model.noise_dim, cfg.dt, out=dw)
-        clouds[:] = [
-            euler_step(c, model, cfg, noise, shared_dw=dw, fv=fv, work=w)
-            for c, fv, w in zip(clouds, fvs, works)
+        block = euler_step(block, model, cfg, noise, shared_dw=dw, fv=fvs, work=work)
+        # euler_step has checked these positions are finite
+        fvs = [
+            evaluate_functionals(
+                model.functionals, block.x[j], scratch, _finite=True
+            )
+            for j in rows
         ]
-        fvs = [None] * len(clouds)
         if i + 1 in marks:
-            fvs = [
-                evaluate_functionals(model.functionals, c.x, w.sort)
-                for c, w in zip(clouds, works)
-            ]
-            observe(clouds, fvs)
+            observe(block.split(r), fvs)
 
 
 def _start(model, cfg, noise, law, purpose=NoiseStream.PURPOSE_INIT):

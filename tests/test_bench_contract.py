@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import mkvlab.scenarios
 from mkvlab.cli import _resolve, build_parser
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -53,3 +54,31 @@ def test_tracer_installs_on_every_site_and_uninstalls(bench):
     finally:
         tracer.uninstall()
     assert engine.euler_step is step
+
+
+def test_tracer_reaches_the_engine_loop(bench):
+    # the per-layer metrics read 0, and nothing fails, if the loop stops
+    # calling the traced functions by their traced names
+    spans, _ = bench
+    import mkvlab.analysis  # noqa: F401
+    import mkvlab.cli  # noqa: F401
+    import mkvlab.lions  # noqa: F401
+    import mkvlab.lyapunov  # noqa: F401
+
+    engine = sys.modules["mkvlab.simulate"]
+    sc = mkvlab.scenarios.builtin_scenario("linear-meanfield")
+    cfg = engine.SimConfig(
+        n_particles=8, horizon=0.5, steps_per_unit=10, cut_level=1, seed=0
+    )
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        engine.coupled_simulate(
+            sc.model, cfg, engine.PointMass(0.0), engine.PointMass(0.9),
+            vbar=lambda z: z**2,
+        )
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    for key in ("simulate.step", "model.coefficients", "simulate.exits"):
+        assert totals.get(key, [0])[spans.CALLS] >= 1, key

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,10 @@ def test_measure_rejects_bad_samples():
         EmpiricalMeasure(np.array([[np.nan]]))
     with pytest.raises(ValueError):
         EmpiricalMeasure(np.empty((0, 1)))
+    # the public functional reduction checks finiteness too
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_functionals((MeasureFunctionalTag("mean"),), cloud(0.0, bad))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +189,44 @@ def test_partition_shortfall_edge_levels(n):
             assert_shortfall_matches_full_sort(x, alpha)
 
 
+def inverse_cdf_pieces(x):
+    """The empirical inverse CDF as (value, (lo, hi]) pieces: F⁻¹ = x_(k)
+    on ((k − 1)/N, k/N], with exact rational ends."""
+    xs = sorted(x)
+    n = len(xs)
+    return [(v, (Fraction(k - 1, n), Fraction(k, n))) for k, v in enumerate(xs, 1)]
+
+
+samples_1d = hnp.arrays(
+    np.float64, st.integers(1, 40), elements=st.floats(-1e3, 1e3, allow_nan=False)
+)
+levels = st.tuples(st.integers(1, 1000), st.integers(1, 1000)).map(
+    lambda jd: Fraction(min(jd), max(jd))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=samples_1d, level=levels)
+def test_quantile_is_the_empirical_inverse_cdf(x, level):
+    want = next(v for v, (lo, hi) in inverse_cdf_pieces(x) if lo < level <= hi)
+    assert quantile(x[:, None], float(level)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=samples_1d, level=levels)
+def test_shortfall_is_the_integral_of_the_inverse_cdf(x, level):
+    # (1/α) ∫₀^α F⁻¹(s) ds, piece by piece with exact piece lengths
+    area = math.fsum(
+        v * float(max(Fraction(0), min(hi, level) - lo))
+        for v, (lo, hi) in inverse_cdf_pieces(x)
+    )
+    alpha = float(level)
+    slack = 1e-12 * (1.0 + float(np.max(np.abs(x)))) / alpha
+    assert expected_shortfall(x[:, None], alpha) == pytest.approx(
+        area / alpha, rel=1e-12, abs=slack
+    )
+
+
 def test_shortfall_is_transport_lipschitz():
     # |ES_α(μ) − ES_α(ν)| ≤ W₁(μ, ν) / α on equal-size clouds
     rng = np.random.Generator(np.random.Philox(12))
@@ -247,6 +290,20 @@ def test_exact_matches_sorted_coupling_in_one_dimension():
         fast = wasserstein_p_1d(a, b, p) ** p
         slow = wasserstein_exact(a, b, p)
         assert abs(fast - slow) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 8),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+)
+def test_sorted_coupling_cost_is_the_exact_optimum(data, n, p):
+    values = hnp.arrays(np.float64, n, elements=st.floats(-100, 100, allow_nan=False))
+    a, b = data.draw(values)[:, None], data.draw(values)[:, None]
+    assert wasserstein_p_1d(a, b, p) ** p == pytest.approx(
+        wasserstein_exact(a, b, p), rel=1e-9, abs=1e-12
+    )
 
 
 def test_exact_sees_through_permutations():

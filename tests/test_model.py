@@ -168,6 +168,37 @@ def test_non_finite_coefficients_raise_only_inside_the_cut_domain():
     assert s[:, 0, 0].tolist() == [1.0, 0.0, 1.0]
 
 
+def test_whole_space_means_no_finite_bound():
+    assert DomainLadder.full_space(1).whole_space
+    assert DomainLadder.full_space(3).whole_space
+    assert not DomainLadder.positive_axis().whole_space
+    half = DomainLadder(
+        dim=2,
+        kind="open-box",
+        lower=(-np.inf, -np.inf),
+        upper=(np.inf, 1.0),
+        rule=lambda k: (np.full(2, -float(k)), np.array([float(k), 1.0 - 1.0 / (k + 1)])),
+    )
+    assert not half.whole_space
+
+
+@pytest.mark.parametrize("name", ["example1-quartic", "example3-cir"])
+def test_stacked_clouds_get_their_own_coefficients(name):
+    # one call over three stacked clouds, each with its own functional
+    # values, gives the bytes of three calls; rows outside D (for the CIR
+    # model) and outside D_3 are zeroed in every cloud
+    sc = builtin_scenario(name)
+    rng = np.random.Generator(np.random.Philox(8))
+    xs = [rng.uniform(-0.5, 4.0, size=(30, 1)) for _ in range(3)]
+    fvs = [{k: 0.4 + j for k in sc.model.functional_keys()} for j in range(3)]
+    want = [evaluate_coefficients(sc.model, 0.2, x, fv, 3) for x, fv in zip(xs, fvs)]
+    got = evaluate_coefficients(sc.model, 0.2, np.concatenate(xs), fvs, 3)
+    for g, w in zip(got, zip(*want)):
+        assert g.tobytes() == np.concatenate(w).tobytes()
+    with pytest.raises(ValueError, match="do not split"):
+        evaluate_coefficients(sc.model, 0.2, np.concatenate(xs)[:89], fvs, 3)
+
+
 def test_missing_functional_value_is_an_error():
     sc = builtin_scenario("example1-quartic")
     with pytest.raises(ValueError, match="missing functional"):

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mkvlab.measure import evaluate_functionals
-from mkvlab.model import DomainLadder, ModelSpec, evaluate_coefficients
+from mkvlab.model import (
+    DomainLadder,
+    MeasureFunctionalTag,
+    ModelSpec,
+    evaluate_coefficients,
+)
 from mkvlab.scenarios import builtin_scenario
 from mkvlab.simulate import (
     BlowUpError,
@@ -572,7 +577,7 @@ def test_first_coupled_cloud_is_the_single_cloud_run(name):
 
 def test_no_steps_cloud_outlives_its_step(monkeypatch):
     # the drivers keep no reference to an earlier state, so memory holds one
-    # cloud per member however long the run
+    # block of clouds however long the run; a coupled pair steps as one block
     engine = sys.modules["mkvlab.simulate"]
     step, seen = engine.euler_step, []
 
@@ -587,7 +592,7 @@ def test_no_steps_cloud_outlives_its_step(monkeypatch):
     coupled_simulate(
         sc.model, small_cfg(), PointMass(0.0), PointMass(1.0), vbar=lambda z: z**2
     )
-    assert len(seen) == 3 * small_cfg().total_steps
+    assert len(seen) == 2 * small_cfg().total_steps
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +666,7 @@ def assert_loop_equals_hand_loop(model, init, cut, levels):
         checkpoints=(0.5, 0.55, 1.0, 1.05, 1.1, 2.0),
     )
 
-    def clouds():
+    def clouds(purposes):
         noise = NoiseStream(cfg.seed)
         return [
             ParticleCloud.create(
@@ -669,17 +674,22 @@ def assert_loop_equals_hand_loop(model, init, cut, levels):
                 model,
                 cfg.tracked_levels(),
             )
-            for purpose in (NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_INIT2)
+            for purpose in purposes
         ]
 
-    got = loop_states(model, cfg, clouds())
-    want = hand_states(model, cfg, clouds())
-    assert len(got) == len(cfg.checkpoint_steps())
-    assert got == want
-    # the case is not trivial: particles froze at the cut during the run,
-    # and others never left it
-    first_exits = np.frombuffer(got[-1][0][2][cut], dtype=np.int64)
-    assert (first_exits > 0).any() and (first_exits < 0).any()
+    # a pair, and three clouds (purpose 4 is one no driver draws on), so
+    # the block is not checked with two clouds only
+    pair = (NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_INIT2)
+    for purposes in (pair, pair + (4,)):
+        got = loop_states(model, cfg, clouds(purposes))
+        want = hand_states(model, cfg, clouds(purposes))
+        assert len(got) == len(cfg.checkpoint_steps())
+        assert len(got[0]) == len(purposes)
+        assert got == want
+        # the case is not trivial: particles froze at the cut during the
+        # run, and others never left it
+        first_exits = np.frombuffer(got[-1][0][2][cut], dtype=np.int64)
+        assert (first_exits > 0).any() and (first_exits < 0).any()
 
 
 @pytest.mark.parametrize("name", sorted(LOOP_CASES))
@@ -725,3 +735,71 @@ def test_engine_loop_blows_up_at_the_hand_loop_step():
             run(runaway, cfg, [ParticleCloud.create(x0, runaway, cfg.tracked_levels())])
         steps.append(ei.value.step)
     assert steps[0] == steps[1] > 1
+
+
+def loop_and_hand_faults(model, cfg, x0s):
+    """The exception the loop raises for these clouds, and the one the
+    per-cloud hand loop raises, as (type, step, message) each."""
+    faults = []
+    for run in (loop_states, hand_states):
+        clouds = [ParticleCloud.create(x0, model, cfg.tracked_levels()) for x0 in x0s]
+        with pytest.raises((BlowUpError, FloatingPointError)) as ei:
+            run(model, cfg, clouds)
+        faults.append((type(ei.value), getattr(ei.value, "step", None), str(ei.value)))
+    return faults
+
+
+def test_second_cloud_blow_up_is_the_per_cloud_loop_error():
+    doubling = ModelSpec(
+        name="doubling",
+        dim=1,
+        noise_dim=1,
+        drift=lambda t, x, fv: x * 1.0,
+        diffusion=lambda t, x, fv: np.zeros((1, 1, 1)),
+        functionals=(),
+        ladder=DomainLadder.full_space(1),
+        local_bound=lambda k: float(k),
+    )
+    cfg = SimConfig(
+        n_particles=3, horizon=40.0, steps_per_unit=1, cut_level=1.7e308, seed=0
+    )
+    calm = np.array([[1.0], [0.0], [-1.0]])
+    wild = np.array([[1.0], [1e300], [-1.0]])
+    got, want = loop_and_hand_faults(doubling, cfg, [calm, wild])
+    assert got == want
+    # the index within the second cloud, not the block row 4
+    assert got[0] is BlowUpError and got[1] > 1 and "particle 1 " in got[2]
+
+
+def test_second_cloud_coefficient_fault_is_the_per_cloud_loop_error():
+    # finite drift below x = 5, infinite above it, inside the cut box D_8
+    cliff = ModelSpec(
+        name="cliff",
+        dim=1,
+        noise_dim=1,
+        drift=lambda t, x, fv: np.where(x > 5.0, np.inf, 1.0),
+        diffusion=lambda t, x, fv: np.zeros((1, 1, 1)),
+        functionals=(MeasureFunctionalTag("mean"),),
+        ladder=DomainLadder.full_space(1),
+        local_bound=lambda k: 1.0,
+    )
+    cfg = SimConfig(
+        n_particles=3, horizon=4.0, steps_per_unit=4, cut_level=8, seed=0
+    )
+    low = np.array([[-3.0], [-2.0], [-1.0]])
+    high = np.array([[2.0], [3.0], [4.0]])
+    got, want = loop_and_hand_faults(cliff, cfg, [low, high])
+    assert got == want
+    # the third particle of the second cloud passes 5 at its fifth step
+    assert got[0] is FloatingPointError and "x=[5.25] (t=1.25)" in got[2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_point_mass_is_rejected_at_step_zero(bad):
+    sc = builtin_scenario("linear-meanfield")
+    with pytest.raises(ValueError, match="finite"):
+        simulate(sc.model, None, small_cfg(), PointMass(bad))
+    with pytest.raises(ValueError, match="finite"):
+        coupled_simulate(
+            sc.model, small_cfg(), PointMass(0.0), PointMass(bad), vbar=lambda z: z**2
+        )
