@@ -280,12 +280,14 @@ class ModelSpec:
     def __post_init__(self):
         if self.dim != self.ladder.dim:
             raise ValueError("model dimension disagrees with its ladder")
-        keys = [f.key for f in self.functionals]
+        keys = tuple(f.key for f in self.functionals)
         if len(set(keys)) != len(keys):
-            raise ValueError(f"duplicate functional keys: {keys}")
+            raise ValueError(f"duplicate functional keys: {list(keys)}")
+        # built once: evaluate_coefficients checks them on every call
+        object.__setattr__(self, "_keys", keys)
 
     def functional_keys(self) -> tuple[str, ...]:
-        return tuple(f.key for f in self.functionals)
+        return self._keys
 
 
 def evaluate_coefficients(
@@ -318,8 +320,9 @@ def evaluate_coefficients(
     fvs = [fv] if isinstance(fv, dict) else fv
     if x.shape[0] % len(fvs):
         raise ValueError(f"{x.shape[0]} rows do not split into {len(fvs)} clouds")
+    keys = model.functional_keys()
     for f in fvs:
-        missing = [k for k in model.functional_keys() if k not in f]
+        missing = [k for k in keys if k not in f]
         if missing:
             raise ValueError(f"missing functional values: {missing}")
 
@@ -343,9 +346,10 @@ def evaluate_coefficients(
             rows = slice(j * n, (j + 1) * n)
             np.copyto(out[0][rows], np.asarray(model.drift(t, x[rows], f), float))
             np.copyto(out[1][rows], np.asarray(model.diffusion(t, x[rows], f), float))
-    dead = ~alive
-    np.copyto(out[0], 0.0, where=dead[:, None])
-    np.copyto(out[1], 0.0, where=dead[:, None, None])
+    if not alive.all():
+        dead = ~alive
+        np.copyto(out[0], 0.0, where=dead[:, None])
+        np.copyto(out[1], 0.0, where=dead[:, None, None])
     b, s = out
     # zeroed entries are finite, so a non-finite entry is an in-domain one
     if not (np.isfinite(b).all() and np.isfinite(s).all()):
