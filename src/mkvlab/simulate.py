@@ -10,8 +10,10 @@ its landing point (extension by zero; no reflection, no rejection).
 Every random number is a pure function of (seed, stream, purpose, step,
 particle, axis), with no generator state carried across calls, so results
 are bit-identical across restarts. Gaussian increments are numpy's ziggurat
-on a Philox generator keyed by (seed, stream|purpose|step): prefix-stable
-over particles, and byte-reproducible for a given numpy version (see
+on an SFC64 generator whose state is derived from the key
+(seed, stream|purpose|step) by splitmix64 mixing: prefix-stable over
+particles, and byte-reproducible for a given numpy version. Uniforms (the
+initial laws) are Philox raw words at the same key, random-access (see
 ``NoiseStream``).
 
 The engine is serial: ``simulate`` and ``coupled_simulate`` share one time
@@ -49,6 +51,7 @@ __all__ = [
 ]
 
 _U64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 class BlowUpError(RuntimeError):
@@ -69,27 +72,41 @@ class BlowUpError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _mix64(z: int) -> int:
+    """The splitmix64 finalizer, a bijection of 64-bit words."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
+
+
 class NoiseStream:
     """Stateless Gaussian/uniform noise addressed by integer coordinates.
 
     Each scalar draw is a pure function of (seed, stream, purpose, step,
-    particle, axis). Every (purpose, step) pair keys a Philox counter
-    generator with (seed, stream|purpose|step). The stream keeps one Philox
-    and resets it to that key, counter 0 and an empty buffer on every call
-    (about 4 µs, against 16 µs to build a fresh one), so no generator state
-    is carried between calls. That shared generator makes a ``NoiseStream``
-    unfit for concurrent use: give each thread its own.
+    particle, axis). Every (purpose, step) pair has the key (seed, word)
+    with word = stream|purpose|step (8, 8 and 48 bits). The stream keeps
+    one generator of each kind and resets it to the key on every call, so
+    no generator state is carried between calls and no OS entropy is read.
+    Those shared generators make a ``NoiseStream`` unfit for concurrent
+    use: give each thread its own.
 
-    * ``normals`` are numpy's ziggurat (``Generator.standard_normal``) on
-      that key, laid out row-major over (particle, axis). The ziggurat
-      consumes a variable number of raw words per draw, so normals are
-      *prefix-stable* rather than random-access: the first k rows never
-      depend on how many rows were asked for, and a nonzero
-      ``start_particle`` draws the rows before it and slices them off.
-      They are byte-reproducible for a given numpy version only
+    * ``normals`` are numpy's ziggurat (``Generator.standard_normal``) on an
+      SFC64 generator seeded from the key, laid out row-major over
+      (particle, axis). The seed words are a = mix64(seed),
+      b = mix64(word ^ 0x9E3779B97F4A7C15) and c = mix64(a ^ b), with mix64
+      the splitmix64 finalizer; as numpy's own SFC64 seeding does, the
+      counter starts at 1 and the first 12 outputs are discarded. mix64 is
+      a bijection, so distinct keys give distinct states. The reset costs a
+      few µs, as the Philox one does; a ``SeedSequence`` would cost 14–20
+      µs per call. The ziggurat consumes a variable number of raw words per
+      draw, so normals are *prefix-stable* rather than random-access: the
+      first k rows never depend on how many rows were asked for, and a
+      nonzero ``start_particle`` draws the rows before it and slices them
+      off. They are byte-reproducible for a given numpy version only
       (``standard_normal`` is outside numpy's raw-bit-stream guarantee).
-    * ``uniforms`` stay random-access: the raw 64-bit word at flat offset
-      particle·width + axis maps to (0, 1) via ((raw >> 11) + 0.5)·2⁻⁵³.
+    * ``uniforms`` are random-access: Philox keyed by (seed, word), counter
+      0; the raw 64-bit word at flat offset particle·width + axis maps to
+      (0, 1) via ((raw >> 11) + 0.5)·2⁻⁵³.
 
     Purposes 2 and 3 belong to the second cloud of a pair (coupled
     runs, the Itô companion), so two clouds never share a draw by accident.
@@ -105,30 +122,52 @@ class NoiseStream:
         if not 0 <= stream < 256:
             raise ValueError("stream id must be in [0, 256)")
         self.stream = stream
-        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
+        # both are seeded with 0 only so that building them reads no OS
+        # entropy: every draw first resets the state to a key
+        self._philox = np.random.Generator(np.random.Philox(0))
+        self._sfc64 = np.random.Generator(np.random.SFC64(0))
+        self._sfc64_a = _mix64(self.seed)
+        self._sfc64_state = {
+            "bit_generator": "SFC64",
+            "state": {"state": None},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
-    def _generator(self, purpose: int, step: int) -> np.random.Generator:
-        """The generator, reset to the state a fresh ``Philox(key)`` has."""
+    def _word(self, purpose: int, step: int) -> int:
         if not 0 <= purpose < 256:
             raise ValueError("purpose id must be in [0, 256)")
         if step < 0 or step >= 1 << 48:
             raise ValueError("step index out of the 48-bit key range")
-        word = (self.stream << 56) | (purpose << 48) | step
-        self._gen.bit_generator.state = {
+        return (self.stream << 56) | (purpose << 48) | step
+
+    def _philox_at(self, purpose: int, step: int) -> np.random.Generator:
+        """The Philox generator, reset to the state a fresh ``Philox(key)`` has."""
+        self._philox.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {
                 "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([self.seed, word], dtype=np.uint64),
+                "key": np.array([self.seed, self._word(purpose, step)], dtype=np.uint64),
             },
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
         }
-        return self._gen
+        return self._philox
+
+    def _sfc64_at(self, purpose: int, step: int) -> np.random.Generator:
+        """The SFC64 generator, seeded from the key (see the class notes)."""
+        a = self._sfc64_a
+        b = _mix64(self._word(purpose, step) ^ _GOLDEN)
+        self._sfc64_state["state"]["state"] = [a, b, _mix64(a ^ b), 1]
+        bits = self._sfc64.bit_generator
+        bits.state = self._sfc64_state
+        bits.random_raw(12)
+        return self._sfc64
 
     def _raw(self, purpose: int, step: int, start: int, count: int) -> np.ndarray:
-        gen = self._generator(purpose, step)
+        gen = self._philox_at(purpose, step)
         # Philox yields 4 raw words per counter increment; position the
         # counter at the enclosing multiple of 4 and discard the remainder.
         gen.bit_generator.advance(start // 4)
@@ -153,7 +192,7 @@ class NoiseStream:
         from particle 0 is written there and ``out`` is returned; the bytes
         are the same.
         """
-        gen = self._generator(purpose, step)
+        gen = self._sfc64_at(purpose, step)
         if out is None:
             return gen.standard_normal((start_particle + count, width))[start_particle:]
         if start_particle or out.shape != (count, width):

@@ -80,5 +80,11 @@ def test_tracer_reaches_the_engine_loop(bench):
     finally:
         tracer.uninstall()
     totals = tracer.totals()
-    for key in ("simulate.step", "model.coefficients", "simulate.exits"):
+    for key in (
+        "simulate.step",
+        "simulate.noise",
+        "measure.functionals",
+        "model.coefficients",
+        "simulate.exits",
+    ):
         assert totals.get(key, [0])[spans.CALLS] >= 1, key

@@ -199,20 +199,54 @@ def test_normals_are_standard_gaussian():
 
 
 def test_noise_coordinates_separate_draws():
-    ns = NoiseStream(5)
-    by_purpose = [ns.uniforms(p, 0, 0, 8, 1) for p in (0, 1)]
-    assert not np.array_equal(*by_purpose)
-    by_step = [ns.uniforms(0, s, 0, 8, 1) for s in (0, 1)]
-    assert not np.array_equal(*by_step)
-    by_seed = [NoiseStream(s).uniforms(0, 0, 0, 8, 1) for s in (1, 2)]
-    assert not np.array_equal(*by_seed)
-    by_stream = [NoiseStream(1, st).uniforms(0, 0, 0, 8, 1) for st in (0, 1)]
-    assert not np.array_equal(*by_stream)
+    for kind in ("uniforms", "normals"):
+
+        def draw(seed, stream, purpose, step):
+            return getattr(NoiseStream(seed, stream), kind)(purpose, step, 0, 8, 1)
+
+        by_purpose = [draw(5, 0, p, 0) for p in (0, 1)]
+        assert not np.array_equal(*by_purpose), kind
+        by_step = [draw(5, 0, 0, s) for s in (0, 1)]
+        assert not np.array_equal(*by_step), kind
+        by_seed = [draw(s, 0, 0, 0) for s in (1, 2)]
+        assert not np.array_equal(*by_seed), kind
+        by_stream = [draw(1, st, 0, 0) for st in (0, 1)]
+        assert not np.array_equal(*by_stream), kind
 
 
 def test_uniforms_stay_strictly_interior():
     u = NoiseStream(0).uniforms(0, 0, 0, 4096, 1)
     assert (u > 0.0).all() and (u < 1.0).all()
+
+
+def mix64(z):
+    """splitmix64's finalizer, written out independently of the engine."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % (1 << 64)
+    return z ^ (z >> 31)
+
+
+class SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands numpy's own SFC64 seeding three given words."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self.words, dtype=np.uint64)
+
+
+def sfc64_at_key(seed, word):
+    """The generator the key (seed, word) seeds: words a = mix64(seed),
+    b = mix64(word ^ φ), c = mix64(a ^ b), then numpy's SFC64 seeding
+    (counter 1, 12 outputs discarded)."""
+    a, b = mix64(seed), mix64(word ^ 0x9E3779B97F4A7C15)
+    return np.random.Generator(np.random.SFC64(SeedWords([a, b, mix64(a ^ b)])))
+
+
+def test_mix64_is_the_splitmix64_finalizer():
+    # splitmix64 seeded with 0 first outputs mix64(φ)
+    assert mix64(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
 
 
 def test_noise_draws_never_depend_on_earlier_calls():
@@ -229,10 +263,9 @@ def test_noise_draws_never_depend_on_earlier_calls():
     assert np.array_equal(used.uniforms(1, 7, 0, 9, 3), fresh().uniforms(1, 7, 0, 9, 3))
     used.normals(2, 1, 0, 3, 1)
     assert np.array_equal(used.uniforms(1, 7, 5, 9, 3), fresh().uniforms(1, 7, 5, 9, 3))
-    # the key is (seed, stream|purpose|step), as on a freshly built Philox
-    key = np.array([21, (4 << 56) | (0 << 48) | 7], dtype=np.uint64)
-    ref = np.random.Generator(np.random.Philox(key=key)).standard_normal((50, 2))
-    assert np.array_equal(used.normals(0, 7, 0, 50, 2), ref)
+    # normals draw on SFC64 seeded from the key (seed, stream|purpose|step)
+    ref = sfc64_at_key(21, (4 << 56) | (0 << 48) | 7).standard_normal((50, 2))
+    assert used.normals(0, 7, 0, 50, 2).tobytes() == ref.tobytes()
 
 
 def test_brownian_increments_scale_with_the_step():
@@ -248,6 +281,40 @@ noise_keys = dict(
     purpose=st.integers(0, 255),
     step=st.integers(0, (1 << 48) - 1),
 )
+
+
+def key_state(seed, stream, purpose, step):
+    bits = NoiseStream(seed, stream)._sfc64_at(purpose, step).bit_generator
+    return bits.state["state"]["state"].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.fixed_dictionaries(noise_keys),
+    other=st.fixed_dictionaries(noise_keys),
+    coordinate=st.sampled_from(sorted(noise_keys)),
+)
+def test_distinct_keys_seed_distinct_sfc64_states(key, other, coordinate):
+    # a key differing in one coordinate, then in all of them
+    for near in ({**key, coordinate: other[coordinate]}, other):
+        if near != key:
+            assert key_state(**near) != key_state(**key)
+    seed, stream, purpose, step = (key[k] for k in ("seed", "stream", "purpose", "step"))
+    word = (stream << 56) | (purpose << 48) | step
+    want = sfc64_at_key(seed, word).bit_generator.state["state"]["state"]
+    assert key_state(**key) == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**noise_keys, start=st.integers(0, 20), n=st.integers(1, 50), width=st.integers(1, 3))
+def test_uniforms_are_philox_raw_words_at_the_key(
+    seed, stream, purpose, step, start, n, width
+):
+    key = np.array([seed, (stream << 56) | (purpose << 48) | step], dtype=np.uint64)
+    raw = np.random.Philox(key=key).random_raw((start + n) * width)[start * width :]
+    want = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    got = NoiseStream(seed, stream).uniforms(purpose, step, start, n, width)
+    assert got.tobytes() == want.reshape(n, width).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -642,22 +709,106 @@ def hand_states(model, cfg, clouds):
     return states
 
 
+def rows(*groups):
+    """Initial positions: ``count`` rows at ``point`` for each (count, point)."""
+    return np.vstack([np.tile(np.atleast_1d(p), (n, 1)) for n, p in groups]).astype(float)
+
+
+# The guard of assert_loop_equals_hand_loop asks for a particle that froze at
+# the cut during the run and one that never left it. Each case's initial rows
+# are fixed, so no noise stream changes them, and they are laid out so that
+# the guard fails with probability at most 1e-6 whatever stream is drawn
+# (i.i.d. standard normal increments; Δt = 1/20, 40 steps), split in halves:
+#
+# * No freeze at step 1: at most 5e-7. The step-0 coefficients are fixed and
+#   the rows' first increments independent, so this has probability
+#   Π(1 − p_i) over the rows inside D_cut; ``step_one_miss`` computes it from
+#   the model and the test asserts the bound. The rows on the box's edge
+#   carry it: 50 rows of example1 (p = 0.254 at m₄ = 2.09), 80 of
+#   example2 and linear-meanfield (0.186), 100 of example3-cir (0.144), 120
+#   of scheutzow-clip (0.132) and 50 of the plane (0.309).
+# * Every "stayer" leaves: at most 5e-7.
+#   - example1 and example2 at α = 0 sit stayers at x = 0, where b = σ = 0
+#     whatever the law: they never move. (α = 0 decouples example2's
+#     particles; with α ≠ 0 the cloud's mean moves every particle's u.)
+#   - The others use Doob's inequality on Y = V(x) + C·(40 − n): a
+#     nonnegative supermartingale while the particle is inside D_cut when
+#     E[V(x')] ≤ V(x) + C there, and constant once it froze. Leaving makes
+#     V(x_40) > V*, so P(leave) ≤ Y₀/V*. The stayers' next increments are
+#     independent given the past, so the product of their Y is a
+#     supermartingale too, and P(all S leave) ≤ (Y₀/V*)^S.
+#   - example3-cir: 40 rows frozen at 0.1 < 1/5 keep ES₀.₁ ≤ 0.1 < θ, so
+#     b = (1.25/x − x)/2 for good; x ↦ x + bΔt fixes c = √1.25 and is
+#     0.975-Lipschitz on [1/5, 5]. V = (x − c)², C = σ²Δt = 0.0125,
+#     V* = (c − 1/5)² = 0.843, Y₀ = 0.500: 258 stayers, 0.593^258.
+#   - linear-meanfield: the 310 frozen rows sum to 0. If all of the 3600
+#     increments of the 90 live rows have |z| ≤ 7 (all but 9.2e-9), a
+#     frozen landing point is within 2.89 of 0 and |mean| ≤ 0.66 < 1.
+#     With V = x² and |mean| ≤ 1, C = 0.0189, Y₀ = 0.756, V* = 4: 10
+#     stayers, 0.189^10 = 5.8e-8 (stopping the product where |mean| > 1).
+#   - scheutzow-clip: the clipped mean lies in [−1, 1]; V = x², C = 0.0336,
+#     Y₀ = 1.35, V* = 4: 16 stayers, 0.336^16 = 2.7e-8.
+#   - the plane has no functionals; x ↦ x + bΔt is 0.965-Lipschitz and
+#     E|σ dw|² = 0.008(2 + |x|²), so V = |x|², C = 0.016, Y₀ = 0.64, V* = 4:
+#     346 stayers, 0.16^346.
 LOOP_CASES = {
-    # (init law, cut level, exit levels): wide laws, so that particles start
-    # outside the cut box or cross it, and freeze there
-    "example1-quartic": (UniformBox(-2.5, 2.5), 2, (1,)),
-    "example2-nonlinear": (UniformBox(-2.5, 2.5), 2, (1,)),
-    "example3-cir": (UniformBox(0.15, 6.0), 5, (2, 3, 5)),
-    "linear-meanfield": (UniformBox(-3.0, 3.0), 2, (1,)),
-    "scheutzow-clip": (UniformBox(-3.0, 3.0), 2, (1,)),
+    # scenario parameters, initial rows, cut level, exit levels
+    "example1-quartic": (
+        {},
+        rows((1, -2.0625), (25, -2.0), (348, 0.0), (25, 2.0), (1, 2.0625)),
+        2,
+        (1,),
+    ),
+    "example2-nonlinear": (
+        {"alpha": 0.0},
+        rows((2, -2.5), (40, -2.0), (316, 0.0), (40, 2.0), (2, 2.5)),
+        2,
+        (1,),
+    ),
+    "example3-cir": (
+        {},
+        rows((40, 0.1), (258, 1.125), (100, 5.0), (2, 6.0)),
+        5,
+        (2, 3, 5),
+    ),
+    "linear-meanfield": (
+        {},
+        rows((155, -3.0), (40, -2.0), (10, 0.0), (40, 2.0), (155, 3.0)),
+        2,
+        (1,),
+    ),
+    "scheutzow-clip": (
+        {},
+        rows((132, -3.0), (60, -2.0), (16, 0.0), (60, 2.0), (132, 3.0)),
+        2,
+        (1,),
+    ),
 }
 
 
-def assert_loop_equals_hand_loop(model, init, cut, levels):
+def step_one_miss(model, x0, cut, dt):
+    """P(no row of ``x0`` leaves D_cut at step 1) under Gaussian increments.
+
+    Each row inside the box leaves through coordinate a with probability
+    P(x_a + b_aΔt + √Δt·|σ_a|·z ∉ [lo_a, hi_a]); the largest over a is a
+    lower bound on the row's chance to leave, and rows are independent.
+    """
+    fv = evaluate_functionals(model.functionals, x0)
+    b, s = evaluate_coefficients(model, 0.0, x0, fv, cut)
+    lo, hi = model.ladder.box(cut)
+    mean = x0 + b * dt
+    sd = np.sqrt(dt * (s**2).sum(axis=2))
+    with np.errstate(divide="ignore"):
+        p = stats.norm.sf((hi - mean) / sd) + stats.norm.cdf((lo - mean) / sd)
+    inside = model.ladder.contains(x0, cut)
+    return float(np.prod(1.0 - p.max(axis=1)[inside]))
+
+
+def assert_loop_equals_hand_loop(model, x0, cut, levels):
     # the workspace loop reuses its buffers; that may not change a bit of
     # the positions or of any exit record
     cfg = SimConfig(
-        n_particles=400,
+        n_particles=len(x0),
         horizon=2.0,
         steps_per_unit=20,
         cut_level=cut,
@@ -665,26 +816,23 @@ def assert_loop_equals_hand_loop(model, init, cut, levels):
         seed=9,
         checkpoints=(0.5, 0.55, 1.0, 1.05, 1.1, 2.0),
     )
+    assert cfg.total_steps == 40
+    assert step_one_miss(model, x0, cut, cfg.dt) <= 5e-7
 
-    def clouds(purposes):
-        noise = NoiseStream(cfg.seed)
+    def clouds(r):
+        # cloud j holds the rows of x0 rolled by 37·j, so the clouds of a
+        # block differ while each meets the guard's design
         return [
-            ParticleCloud.create(
-                init.sample(cfg.n_particles, model.dim, noise, purpose),
-                model,
-                cfg.tracked_levels(),
-            )
-            for purpose in purposes
+            ParticleCloud.create(np.roll(x0, 37 * j, axis=0), model, cfg.tracked_levels())
+            for j in range(r)
         ]
 
-    # a pair, and three clouds (purpose 4 is one no driver draws on), so
-    # the block is not checked with two clouds only
-    pair = (NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_INIT2)
-    for purposes in (pair, pair + (4,)):
-        got = loop_states(model, cfg, clouds(purposes))
-        want = hand_states(model, cfg, clouds(purposes))
+    # a pair, and three clouds, so the block is not checked with two only
+    for r in (2, 3):
+        got = loop_states(model, cfg, clouds(r))
+        want = hand_states(model, cfg, clouds(r))
         assert len(got) == len(cfg.checkpoint_steps())
-        assert len(got[0]) == len(purposes)
+        assert len(got[0]) == r
         assert got == want
         # the case is not trivial: particles froze at the cut during the
         # run, and others never left it
@@ -694,7 +842,9 @@ def assert_loop_equals_hand_loop(model, init, cut, levels):
 
 @pytest.mark.parametrize("name", sorted(LOOP_CASES))
 def test_engine_loop_equals_a_hand_loop_of_euler_step(name):
-    assert_loop_equals_hand_loop(builtin_scenario(name).model, *LOOP_CASES[name])
+    params, x0, cut, levels = LOOP_CASES[name]
+    model = builtin_scenario(name, **params).model
+    assert_loop_equals_hand_loop(model, x0, cut, levels)
 
 
 def test_engine_loop_equals_a_hand_loop_in_two_dimensions():
@@ -709,8 +859,11 @@ def test_engine_loop_equals_a_hand_loop_in_two_dimensions():
         ladder=DomainLadder.full_space(2),
         local_bound=lambda k: 2.0 * k,
     )
-    box = UniformBox((-2.5, -2.5), (2.5, 2.5))
-    assert_loop_equals_hand_loop(plane, box, 2, (1, 2))
+    x0 = rows(
+        (2, (-2.5, -2.5)), (25, (-2.0, 0.0)), (346, (0.0, 0.0)),
+        (25, (2.0, 0.0)), (2, (2.5, 2.5)),
+    )
+    assert_loop_equals_hand_loop(plane, x0, 2, (1, 2))
 
 
 def test_engine_loop_blows_up_at_the_hand_loop_step():
