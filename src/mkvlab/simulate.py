@@ -143,11 +143,12 @@ class NoiseStream:
 
     def _philox_at(self, purpose: int, step: int) -> np.random.Generator:
         """The Philox generator, reset to the state a fresh ``Philox(key)`` has."""
+        word = self._word(purpose, step)
         self._philox.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {
                 "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([self.seed, self._word(purpose, step)], dtype=np.uint64),
+                "key": np.array([self.seed, word], dtype=np.uint64),
             },
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,

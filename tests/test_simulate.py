@@ -244,11 +244,6 @@ def sfc64_at_key(seed, word):
     return np.random.Generator(np.random.SFC64(SeedWords([a, b, mix64(a ^ b)])))
 
 
-def test_mix64_is_the_splitmix64_finalizer():
-    # splitmix64 seeded with 0 first outputs mix64(φ)
-    assert mix64(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
-
-
 def test_noise_draws_never_depend_on_earlier_calls():
     # a stream reuses one generator, so each call must start from its key
     def fresh():
@@ -263,7 +258,10 @@ def test_noise_draws_never_depend_on_earlier_calls():
     assert np.array_equal(used.uniforms(1, 7, 0, 9, 3), fresh().uniforms(1, 7, 0, 9, 3))
     used.normals(2, 1, 0, 3, 1)
     assert np.array_equal(used.uniforms(1, 7, 5, 9, 3), fresh().uniforms(1, 7, 5, 9, 3))
-    # normals draw on SFC64 seeded from the key (seed, stream|purpose|step)
+    # normals draw on SFC64 seeded from the key (seed, stream|purpose|step);
+    # the reference mix64 is splitmix64's, whose first output from seed 0 is
+    # mix64(φ)
+    assert mix64(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
     ref = sfc64_at_key(21, (4 << 56) | (0 << 48) | 7).standard_normal((50, 2))
     assert used.normals(0, 7, 0, 50, 2).tobytes() == ref.tobytes()
 
@@ -742,8 +740,9 @@ def rows(*groups):
 #     0.975-Lipschitz on [1/5, 5]. V = (x − c)², C = σ²Δt = 0.0125,
 #     V* = (c − 1/5)² = 0.843, Y₀ = 0.500: 258 stayers, 0.593^258.
 #   - linear-meanfield: the 310 frozen rows sum to 0. If all of the 3600
-#     increments of the 90 live rows have |z| ≤ 7 (all but 9.2e-9), a
-#     frozen landing point is within 2.89 of 0 and |mean| ≤ 0.66 < 1.
+#     increments of the 90 live rows have |z| ≤ 7 (all but 9.2e-9), then
+#     while |mean| ≤ 1 a landing point is within 2.91 of 0, so the next
+#     |mean| ≤ 90·2.91/400 = 0.66: by induction |mean| ≤ 1 throughout.
 #     With V = x² and |mean| ≤ 1, C = 0.0189, Y₀ = 0.756, V* = 4: 10
 #     stayers, 0.189^10 = 5.8e-8 (stopping the product where |mean| > 1).
 #   - scheutzow-clip: the clipped mean lies in [−1, 1]; V = x², C = 0.0336,
