@@ -726,9 +726,8 @@ def rows(*groups):
 #   example2 and linear-meanfield (0.186), 100 of example3-cir (0.144), 120
 #   of scheutzow-clip (0.132) and 50 of the plane (0.309).
 # * Every "stayer" leaves: at most 5e-7.
-#   - example1 and example2 at α = 0 sit stayers at x = 0, where b = σ = 0
-#     whatever the law: they never move. (α = 0 decouples example2's
-#     particles; with α ≠ 0 the cloud's mean moves every particle's u.)
+#   - example1 sits stayers at x = 0, where b = σ = 0 whatever the law:
+#     they never move.
 #   - The others use Doob's inequality on Y = V(x) + C·(40 − n): a
 #     nonnegative supermartingale while the particle is inside D_cut when
 #     E[V(x')] ≤ V(x) + C there, and constant once it froze. Leaving makes
@@ -745,39 +744,44 @@ def rows(*groups):
 #     |mean| ≤ 90·2.91/400 = 0.66: by induction |mean| ≤ 1 throughout.
 #     With V = x² and |mean| ≤ 1, C = 0.0189, Y₀ = 0.756, V* = 4: 10
 #     stayers, 0.189^10 = 5.8e-8 (stopping the product where |mean| > 1).
+#   - example2-nonlinear (α = −0.5, σ = 0.5): u = x − α·mean. The 710
+#     frozen rows sum to 0. If all 3600 increments of the 90 live rows have
+#     |z| ≤ 7 (all but 9.2e-9), then while |mean| ≤ 1 a row in D_cut has
+#     |u| ≤ 2.5, where u − u³Δt is increasing, so it lands within
+#     1.72 + 0.5 + 4.89 = 7.11 of 0, and the next |mean| ≤ 90·7.11/800 =
+#     0.80: by induction |mean| ≤ 1 throughout. There E[x'²] − x² =
+#     Δt(−2xu³ + u⁶Δt + σ²u⁴) ≤ Δt(−1.4375u⁴ + |u|³) ≤ C = 1.78e-3, so with
+#     V = x², Y₀ = 0.071 and V* = 4: 10 stayers, 0.0178^10 (stopping the
+#     product where |mean| > 1). ``example2_stayers_leave`` computes this
+#     from the model's α and σ and the test asserts it.
 #   - scheutzow-clip: the clipped mean lies in [−1, 1]; V = x², C = 0.0336,
 #     Y₀ = 1.35, V* = 4: 16 stayers, 0.336^16 = 2.7e-8.
 #   - the plane has no functionals; x ↦ x + bΔt is 0.965-Lipschitz and
 #     E|σ dw|² = 0.008(2 + |x|²), so V = |x|², C = 0.016, Y₀ = 0.64, V* = 4:
 #     346 stayers, 0.16^346.
 LOOP_CASES = {
-    # scenario parameters, initial rows, cut level, exit levels
+    # initial rows, cut level, exit levels
     "example1-quartic": (
-        {},
         rows((1, -2.0625), (25, -2.0), (348, 0.0), (25, 2.0), (1, 2.0625)),
         2,
         (1,),
     ),
     "example2-nonlinear": (
-        {"alpha": 0.0},
-        rows((2, -2.5), (40, -2.0), (316, 0.0), (40, 2.0), (2, 2.5)),
+        rows((355, -2.5), (40, -2.0), (10, 0.0), (40, 2.0), (355, 2.5)),
         2,
         (1,),
     ),
     "example3-cir": (
-        {},
         rows((40, 0.1), (258, 1.125), (100, 5.0), (2, 6.0)),
         5,
         (2, 3, 5),
     ),
     "linear-meanfield": (
-        {},
         rows((155, -3.0), (40, -2.0), (10, 0.0), (40, 2.0), (155, 3.0)),
         2,
         (1,),
     ),
     "scheutzow-clip": (
-        {},
         rows((132, -3.0), (60, -2.0), (16, 0.0), (60, 2.0), (132, 3.0)),
         2,
         (1,),
@@ -801,6 +805,37 @@ def step_one_miss(model, x0, cut, dt):
         p = stats.norm.sf((hi - mean) / sd) + stats.norm.cdf((lo - mean) / sd)
     inside = model.ladder.contains(x0, cut)
     return float(np.prod(1.0 - p.max(axis=1)[inside]))
+
+
+def example2_stayers_leave(model, x0, cut, dt, steps, mean_max=1.0, z_max=7.0):
+    """Bound on P(every row of ``x0`` at 0 leaves D_cut) for example2.
+
+    Outside the event that some increment of a row starting in D_cut has
+    |z| > ``z_max``, |mean| ≤ ``mean_max`` at every step (by induction on
+    the farthest landing point), and there each stayer's x² + C·(steps − n)
+    is a supermartingale; Doob's inequality bounds its chance to reach
+    cut².
+    """
+    alpha, sigma = model.params["alpha"], model.params["sigma"]
+    x = x0[:, 0]
+    inside = np.abs(x) <= cut
+    live, stay = int(inside.sum()), int((x == 0).sum())
+    assert x[~inside].sum() == 0  # the frozen rows do not move the mean
+    u_max = cut + abs(alpha) * mean_max
+    assert 3 * u_max**2 * dt <= 1  # u − u³Δt increases on [0, u_max]
+    reach = (
+        u_max - u_max**3 * dt + abs(alpha) * mean_max
+        + sigma * u_max**2 * math.sqrt(dt) * z_max
+    )
+    assert live * max(reach, cut) / len(x) <= mean_max
+    # x = u + α·mean: E[x'²] − x² ≤ Δt(−a·u⁴ + c·|u|³) for |u| ≤ u_max,
+    # whose supremum over u is 27c⁴/(256a³)
+    a = 2 - sigma**2 - u_max**2 * dt
+    c = 2 * abs(alpha) * mean_max
+    assert a > 0
+    drift = dt * 27 * c**4 / (256 * a**3)
+    tail = live * steps * 2 * stats.norm.sf(z_max)
+    return (steps * drift / cut**2) ** stay + tail
 
 
 def assert_loop_equals_hand_loop(model, x0, cut, levels):
@@ -841,8 +876,10 @@ def assert_loop_equals_hand_loop(model, x0, cut, levels):
 
 @pytest.mark.parametrize("name", sorted(LOOP_CASES))
 def test_engine_loop_equals_a_hand_loop_of_euler_step(name):
-    params, x0, cut, levels = LOOP_CASES[name]
-    model = builtin_scenario(name, **params).model
+    x0, cut, levels = LOOP_CASES[name]
+    model = builtin_scenario(name).model
+    if name == "example2-nonlinear":
+        assert example2_stayers_leave(model, x0, cut, dt=1 / 20, steps=40) <= 5e-7
     assert_loop_equals_hand_loop(model, x0, cut, levels)
 
 
