@@ -29,10 +29,11 @@ Two residual tests back the calculus against the particle dynamics:
   mean residual is centered; the band is a 3-sigma CLT width across
   particles.
 
-Both residual runs reuse the engine's own stepping (cut coefficients,
-frozen exits, shared noise layout) and hand it the coefficients they
-evaluated for the generator term, so that term sees exactly the
-coefficients that moved the particles, computed once per step.
+Both residuals run on the engine's own time loop (``simulate._run_clouds``:
+cut coefficients, frozen exits, the noise layout, the reused workspace) and
+accumulate their generator terms in its per-step hook, which sees the
+coefficients that move the particles, evaluated once per step. The full
+residual's two clouds step as one block, each on its own noise purposes.
 """
 
 from __future__ import annotations
@@ -45,17 +46,21 @@ import numpy as np
 
 from .lyapunov import CheckReport, CheckRow, LyapunovSpec
 from .measure import EmpiricalMeasure, evaluate_functionals
-from .model import ModelSpec, evaluate_coefficients
+from .model import ModelSpec
 from .parallel import tree_mean
 from .simulate import (
     DiagnosticsSeries,
     InitialLaw,
     NoiseStream,
-    ParticleCloud,
     SimConfig,
     _base_meta,
-    euler_step,
+    _run_clouds,
+    _start,
 )
+
+# unused here; bench/spans.py traces them by their names in this module
+from .model import evaluate_coefficients  # noqa: F401
+from .simulate import euler_step  # noqa: F401
 
 __all__ = [
     "FD_STEP_SCALE",
@@ -90,6 +95,10 @@ def _scalar(x: np.ndarray) -> np.ndarray:
     if x.shape[1] != 1:
         raise ValueError("registry measure functions are one-dimensional")
     return x[:, 0]
+
+
+def _floats(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
 
 
 def _fsum_mean(values: np.ndarray) -> float:
@@ -323,36 +332,28 @@ def ito_residual_measure(
     if u.d_mu is None or u.dy_d_mu is None:
         raise ValueError(f"measure function {u.uid!r} lacks analytic derivatives")
     noise = NoiseStream(cfg.seed, cfg.stream)
-    # no local name for the step-0 positions: the loop holds only its cloud
-    cloud = ParticleCloud.create(
-        init.sample(cfg.n_particles, model.dim, noise), model, cfg.tracked_levels()
-    )
-    checkpoints = set(cfg.checkpoint_steps())
-    u0 = u(cloud.x)
-    acc = 0.0
-    mart_var = 0.0
+    clouds = [_start(model, cfg, noise, init)]
+    fvs = [evaluate_functionals(model.functionals, clouds[0].x)]
+    u0, acc, mart_var = u(clouds[0].x), 0.0, 0.0
     rows = [[0.0, 0.0, 0.0]]
-    for _ in range(cfg.total_steps):
-        fv = evaluate_functionals(model.functionals, cloud.x)
-        b, s = evaluate_coefficients(
-            model, cloud.t, cloud.x, fv, cfg.cut_level
-        )
-        g = u.d_mu(cloud.x, cloud.x)
-        hess = u.dy_d_mu(cloud.x, cloud.x)
+
+    def before_step(clouds, fvs, coefficients, dw):
+        nonlocal acc, mart_var
+        x, (b, s) = clouds[0].x, coefficients
+        g = u.d_mu(x, x)
+        hess = u.dy_d_mu(x, x)
         drift = np.einsum("nd,nd->n", b, g)
         trace = np.einsum("nik,njk,nij->n", s, s, hess)
         acc += cfg.dt * float(tree_mean(drift + 0.5 * trace))
         sg = np.einsum("nd,ndk->nk", g, s)
-        mart_var += (
-            cfg.dt
-            * float(tree_mean(np.einsum("nk,nk->n", sg, sg)))
-            / cloud.n
-        )
-        cloud = euler_step(cloud, model, cfg, noise, coefficients=(b, s))
-        if cloud.step in checkpoints:
-            rows.append(
-                [cloud.t, u(cloud.x) - u0 - acc, 3.0 * math.sqrt(mart_var)]
-            )
+        mart_var += cfg.dt * float(tree_mean(np.einsum("nk,nk->n", sg, sg))) / len(x)
+
+    def observe(clouds, fvs):
+        cloud = clouds[0]
+        if cloud.step:
+            rows.append([cloud.t, u(cloud.x) - u0 - acc, 3.0 * math.sqrt(mart_var)])
+
+    _run_clouds(model, cfg, noise, clouds, fvs, observe, hook=before_step)
     return DiagnosticsSeries(
         columns=["t", "R", "band"],
         rows=rows,
@@ -380,97 +381,50 @@ def ito_residual_full(
     cross-particle band.
     """
     noise = NoiseStream(cfg.seed, cfg.stream)
-    # no local names for the step-0 positions: the loop holds only its clouds
-    cloud1 = ParticleCloud.create(
-        init.sample(cfg.n_particles, model.dim, noise), model, cfg.tracked_levels()
-    )
-    cloud2 = ParticleCloud.create(
-        (init2 or init).sample(
-            cfg.n_particles, model.dim, noise, purpose=NoiseStream.PURPOSE_INIT2
-        ),
-        model,
-        cfg.tracked_levels(),
-    )
-    checkpoints = set(cfg.checkpoint_steps())
-    n = cloud1.n
-    fv1 = evaluate_functionals(model.functionals, cloud1.x)
-    v0 = np.asarray(lyap.v(0.0, cloud1.x, fv1), dtype=float)
-    acc = np.zeros(n)
-    mart = np.zeros(n)
+    clouds = [
+        _start(model, cfg, noise, init),
+        _start(model, cfg, noise, init2 or init, NoiseStream.PURPOSE_INIT2),
+    ]
+    fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
+    v0 = _floats(lyap.v(0.0, clouds[0].x, fvs[0]))
+    n = cfg.n_particles
+    acc, mart = np.zeros(n), np.zeros(n)
     rows = [[0.0, 0.0, 0.0]]
-    for step in range(cfg.total_steps):
-        if fv1 is None:
-            fv1 = evaluate_functionals(model.functionals, cloud1.x)
-        fv2 = evaluate_functionals(model.functionals, cloud2.x)
-        t = cloud1.t
-        b1, s1 = evaluate_coefficients(model, t, cloud1.x, fv1, cfg.cut_level)
-        b2, s2 = evaluate_coefficients(model, t, cloud2.x, fv2, cfg.cut_level)
-        dvdx = np.asarray(lyap.dv_dx(t, cloud1.x, fv1), dtype=float)
+
+    def before_step(clouds, fvs, coefficients, dw):
+        # the primary cloud's rows come first in the block, the companion's next
+        nonlocal acc, mart
+        x, y, fv, t = clouds[0].x, clouds[1].x, fvs[0], clouds[0].t
+        (b, b2), (s, s2) = (np.split(c, 2) for c in coefficients)
+        dvdx = _floats(lyap.dv_dx(t, x, fv))
         local = (
-            np.asarray(lyap.dv_dt(t, cloud1.x, fv1), dtype=float)
-            + np.einsum("nd,nd->n", b1, dvdx)
-            + 0.5
-            * np.einsum(
-                "nik,njk,nij->n",
-                s1,
-                s1,
-                np.asarray(lyap.d2v_dx2(t, cloud1.x, fv1), dtype=float),
-            )
+            _floats(lyap.dv_dt(t, x, fv))
+            + np.einsum("nd,nd->n", b, dvdx)
+            + 0.5 * np.einsum("nik,njk,nij->n", s, s, _floats(lyap.d2v_dx2(t, x, fv)))
         )
         measure = np.zeros(n)
         for factor in lyap.measure_factors:
-            inner = float(
-                tree_mean(
-                    np.einsum(
-                        "md,md->m",
-                        b2,
-                        np.asarray(factor.y_grad(t, cloud2.x, fv1), dtype=float),
-                    )
-                )
-            )
+            grad = _floats(factor.y_grad(t, y, fv))
+            inner = float(tree_mean(np.einsum("md,md->m", b2, grad)))
             if factor.y_hess is not None:
-                inner += 0.5 * float(
-                    tree_mean(
-                        np.einsum(
-                            "mik,mjk,mij->m",
-                            s2,
-                            s2,
-                            np.asarray(
-                                factor.y_hess(t, cloud2.x, fv1), dtype=float
-                            ),
-                        )
-                    )
-                )
-            measure = measure + np.asarray(
-                factor.x_part(t, cloud1.x, fv1), dtype=float
-            ) * inner
+                hess = _floats(factor.y_hess(t, y, fv))
+                trace = np.einsum("mik,mjk,mij->m", s2, s2, hess)
+                inner += 0.5 * float(tree_mean(trace))
+            measure = measure + _floats(factor.x_part(t, x, fv)) * inner
         acc += cfg.dt * (local + measure)
-        dw1 = noise.increments(step, 0, n, model.noise_dim, cfg.dt)
-        dw2 = noise.increments(
-            step, 0, n, model.noise_dim, cfg.dt, NoiseStream.PURPOSE_STEP2
-        )
-        mart += np.einsum("nd,ndk,nk->n", dvdx, s1, dw1)
-        cloud1 = euler_step(
-            cloud1, model, cfg, noise, shared_dw=dw1, coefficients=(b1, s1)
-        )
-        cloud2 = euler_step(
-            cloud2, model, cfg, noise, shared_dw=dw2, coefficients=(b2, s2)
-        )
-        fv1 = None
-        if cloud1.step in checkpoints:
-            fv1 = evaluate_functionals(model.functionals, cloud1.x)
-            resid = (
-                np.asarray(lyap.v(cloud1.t, cloud1.x, fv1), dtype=float)
-                - v0
-                - acc
-                - mart
-            )
-            band = (
-                3.0 * float(np.std(resid, ddof=1)) / math.sqrt(n)
-                if n > 1
-                else 0.0
-            )
-            rows.append([cloud1.t, float(tree_mean(resid)), band])
+        mart += np.einsum("nd,ndk,nk->n", dvdx, s, dw[:n])
+
+    def observe(clouds, fvs):
+        cloud = clouds[0]
+        if cloud.step:
+            resid = _floats(lyap.v(cloud.t, cloud.x, fvs[0])) - v0 - acc - mart
+            band = 3.0 * float(np.std(resid, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+            rows.append([cloud.t, float(tree_mean(resid)), band])
+
+    _run_clouds(
+        model, cfg, noise, clouds, fvs, observe, hook=before_step,
+        purposes=(NoiseStream.PURPOSE_STEP, NoiseStream.PURPOSE_STEP2),
+    )
     return DiagnosticsSeries(
         columns=["t", "R", "band"],
         rows=rows,

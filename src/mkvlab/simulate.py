@@ -16,10 +16,11 @@ particles, and byte-reproducible for a given numpy version. Uniforms (the
 initial laws) are Philox raw words at the same key, random-access (see
 ``NoiseStream``).
 
-The engine is serial: ``simulate`` and ``coupled_simulate`` share one time
-loop. It stacks the clouds that share their noise (one, or a coupled pair)
-into one block of rows, draws each step's increments once, and advances the
-whole block with one ``euler_step``.
+The engine is serial: ``simulate``, ``coupled_simulate`` and the Itô
+residuals share one time loop. It stacks the clouds of a run (one, a coupled
+pair, or an Itô pair on independent noise) into one block of rows, draws
+each step's increments into one buffer, and advances the whole block with
+one ``euler_step``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "PointMass",
     "UniformBox",
     "Samples",
-    "load_initial_samples",
     "NoiseStream",
     "ParticleCloud",
     "euler_step",
@@ -372,14 +372,6 @@ class Samples(InitialLaw):
         return self.samples.copy()
 
 
-def load_initial_samples(path) -> Samples:
-    """Read an initial cloud: one particle per line, reals split on spaces."""
-    arr = np.loadtxt(path, ndmin=2, dtype=float)
-    if arr.size == 0:
-        raise ValueError(f"no samples in {path}")
-    return Samples(arr)
-
-
 # ---------------------------------------------------------------------------
 # particle cloud
 # ---------------------------------------------------------------------------
@@ -574,10 +566,11 @@ def euler_step(
     passes them in instead of having them evaluated a second time.
 
     ``cloud`` may be a block of R clouds of N particles each, stacked in
-    order (``ParticleCloud.stack``), that share their noise: ``fv`` is then
-    the list of the R clouds' functional values, ``shared_dw`` (or the draw)
-    holds N rows that every cloud uses, and a blow-up names the particle by
-    its index within its own cloud. Each cloud's numbers are those of its own
+    order (``ParticleCloud.stack``): ``fv`` is then the list of the R
+    clouds' functional values, ``shared_dw`` (or the draw) holds N rows
+    that every cloud uses, or R·N rows, one per block row, for clouds on
+    independent noise, and a blow-up names the particle by its index within
+    its own cloud. Each cloud's numbers are those of its own
     step, and so is the error when one cloud faults. When a cloud blows up at
     a step where a later cloud's coefficients are non-finite, the block
     reports the coefficient fault, where R steps in order would report the
@@ -730,42 +723,62 @@ def _base_meta(model, cfg) -> dict:
     }
 
 
-def _run_clouds(model, cfg, noise, clouds, fvs, observe) -> None:
-    """The time loop of ``simulate`` and ``coupled_simulate``.
+def _run_clouds(
+    model, cfg, noise, clouds, fvs, observe, hook=None,
+    purposes=(NoiseStream.PURPOSE_STEP,),
+) -> None:
+    """The time loop of ``simulate``, ``coupled_simulate`` and the Itô
+    residuals of ``mkvlab.lions``.
 
-    The R clouds in ``clouds`` share their noise: each step draws its
-    increments once, and particle i of every cloud moves with increment i,
-    so a lone cloud gets the very draw ``euler_step`` would make for itself.
-    The clouds are stacked once into one block of R·N rows, and each step is
-    one ``euler_step`` of the block, so the step's fixed cost is paid once,
-    not per cloud. After each step the loop reduces every cloud's
-    functionals on its own rows, for the next step. ``fvs`` holds each
-    cloud's functional values at step 0. At every checkpoint step (the
-    checkpoints always include step 0) ``observe(clouds, fvs)`` is called
-    with each cloud as a ``ParticleCloud`` view of its rows of the block.
+    The R clouds in ``clouds`` are stacked once into one block of R·N rows,
+    and each step is one ``euler_step`` of the block, so the step's fixed
+    cost is paid once, not per cloud. ``purposes`` holds the step noise's
+    purpose ids: with one, every cloud shares it, and particle i of every
+    cloud moves with increment i, so a lone cloud gets the very draw
+    ``euler_step`` would make for itself; with R, each cloud draws on its
+    own purpose into its own rows of one (R·N, d') buffer. Before each step
+    the loop evaluates the block's cut coefficients into the workspace and
+    hands them to ``euler_step``; ``hook(clouds, fvs, (b, σ), dw)``, if
+    given, sees them first, with the pre-step clouds, their functional
+    values and the step's increments. After each step the loop reduces
+    every cloud's functionals on its own rows, for the next step. ``fvs``
+    holds each cloud's functional values at step 0. At every checkpoint
+    step (the checkpoints always include step 0) ``observe(clouds, fvs)``
+    is called. ``observe`` and ``hook`` see each cloud as a
+    ``ParticleCloud`` view of its rows of the block.
 
     ``clouds`` is emptied once it is stacked: a caller that keeps no other
     reference to the step-0 clouds does not hold them, N·(d + levels) words
     each, for the whole run.
 
     The loop owns its memory: one noise buffer, one ``_Workspace`` for the
-    block that ``euler_step`` writes into, and one buffer the expected
-    shortfall partitions in, so a step allocates no N-sized array of its
-    own beyond what the model's coefficient callables return and the masks
-    its box tests make. ``observe`` sees positions that
-    the step after next overwrites; it copies what it keeps.
+    block that the coefficients and ``euler_step`` write into, and one
+    buffer the expected shortfall partitions in, so a step allocates no
+    N-sized array of its own beyond what the model's coefficient callables
+    return and the masks its box tests make. ``observe`` and ``hook`` see
+    arrays that later steps overwrite; they copy what they keep.
     """
     marks = set(cfg.checkpoint_steps())
     r, n = len(clouds), clouds[0].n
     block = ParticleCloud.stack(clouds)
     clouds.clear()
     rows = [slice(j * n, (j + 1) * n) for j in range(r)]
-    dw, scratch = np.empty((n, model.noise_dim)), np.empty(n)
+    dw, scratch = np.empty((len(purposes) * n, model.noise_dim)), np.empty(n)
+    draws = [(purpose, dw[j]) for purpose, j in zip(purposes, rows)]
     work = _Workspace(block, model)
     observe(block.split(r), fvs)
     for i in range(cfg.total_steps):
-        noise.increments(i, 0, n, model.noise_dim, cfg.dt, out=dw)
-        block = euler_step(block, model, cfg, noise, shared_dw=dw, fv=fvs, work=work)
+        for purpose, out in draws:
+            noise.increments(i, 0, n, model.noise_dim, cfg.dt, purpose, out=out)
+        coefficients = evaluate_coefficients(
+            model, block.t, block.x, fvs, cfg.cut_level, out=work.coefficients
+        )
+        if hook is not None:
+            hook(block.split(r), fvs, coefficients, dw)
+        block = euler_step(
+            block, model, cfg, noise, shared_dw=dw, fv=fvs,
+            coefficients=coefficients, work=work,
+        )
         # euler_step has checked these positions are finite
         fvs = [
             evaluate_functionals(

@@ -66,25 +66,47 @@ def test_tracer_reaches_the_engine_loop(bench):
     import mkvlab.lyapunov  # noqa: F401
 
     engine = sys.modules["mkvlab.simulate"]
+    lions = sys.modules["mkvlab.lions"]
     sc = mkvlab.scenarios.builtin_scenario("linear-meanfield")
     cfg = engine.SimConfig(
         n_particles=8, horizon=0.5, steps_per_unit=10, cut_level=1, seed=0
     )
-    tracer = spans.Tracer()
-    try:
-        tracer.install()
-        engine.coupled_simulate(
-            sc.model, cfg, engine.PointMass(0.0), engine.PointMass(0.9),
-            vbar=lambda z: z**2,
-        )
-    finally:
-        tracer.uninstall()
-    totals = tracer.totals()
-    for key in (
+    engine_keys = (
         "simulate.step",
         "simulate.noise",
         "measure.functionals",
         "model.coefficients",
         "simulate.exits",
-    ):
-        assert totals.get(key, [0])[spans.CALLS] >= 1, key
+    )
+    # each run looks the traced names up only once the tracer is installed
+    runs = {
+        "coupled": (
+            lambda: engine.coupled_simulate(
+                sc.model, cfg, engine.PointMass(0.0), engine.PointMass(0.9),
+                vbar=lambda z: z**2,
+            ),
+            engine_keys,
+        ),
+        "ito-measure": (
+            lambda: lions.ito_residual_measure(
+                lions.moment_function(2), sc.model, cfg, engine.PointMass(0.5)
+            ),
+            engine_keys + ("lions.generator",),
+        ),
+        "ito-full": (
+            lambda: lions.ito_residual_full(
+                sc.lyap, sc.model, cfg, engine.PointMass(0.5)
+            ),
+            engine_keys,
+        ),
+    }
+    for name, (run, keys) in runs.items():
+        tracer = spans.Tracer()
+        try:
+            tracer.install()
+            run()
+        finally:
+            tracer.uninstall()
+        totals = tracer.totals()
+        for key in keys:
+            assert totals.get(key, [0])[spans.CALLS] >= 1, (name, key)

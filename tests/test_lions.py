@@ -289,23 +289,101 @@ def test_full_residual_runs_on_the_last_stream():
     assert all(math.isfinite(v) for row in series.rows for v in row)
 
 
+def full_residual_rows_by_hand(lyap, model, cfg, init, init2=None):
+    """ito_residual_full as two clouds stepped one after the other by public
+    ``euler_step``, allocating every array, with the functionals and the
+    coefficients evaluated here and again by each step."""
+    noise = NoiseStream(cfg.seed, cfg.stream)
+    cloud1 = ParticleCloud.create(
+        init.sample(cfg.n_particles, model.dim, noise), model, cfg.tracked_levels()
+    )
+    cloud2 = ParticleCloud.create(
+        (init2 or init).sample(
+            cfg.n_particles, model.dim, noise, NoiseStream.PURPOSE_INIT2
+        ),
+        model,
+        cfg.tracked_levels(),
+    )
+    checkpoints = set(cfg.checkpoint_steps())
+    n = cloud1.n
+    fv1 = evaluate_functionals(model.functionals, cloud1.x)
+    v0 = np.asarray(lyap.v(0.0, cloud1.x, fv1), dtype=float)
+    acc, mart = np.zeros(n), np.zeros(n)
+    rows = [[0.0, 0.0, 0.0]]
+    for step in range(cfg.total_steps):
+        fv1 = evaluate_functionals(model.functionals, cloud1.x)
+        fv2 = evaluate_functionals(model.functionals, cloud2.x)
+        t = cloud1.t
+        b1, s1 = evaluate_coefficients(model, t, cloud1.x, fv1, cfg.cut_level)
+        b2, s2 = evaluate_coefficients(model, t, cloud2.x, fv2, cfg.cut_level)
+        dvdx = np.asarray(lyap.dv_dx(t, cloud1.x, fv1), dtype=float)
+        d2vdx2 = np.asarray(lyap.d2v_dx2(t, cloud1.x, fv1), dtype=float)
+        local = (
+            np.asarray(lyap.dv_dt(t, cloud1.x, fv1), dtype=float)
+            + np.einsum("nd,nd->n", b1, dvdx)
+            + 0.5 * np.einsum("nik,njk,nij->n", s1, s1, d2vdx2)
+        )
+        measure = np.zeros(n)
+        for factor in lyap.measure_factors:
+            grad = np.asarray(factor.y_grad(t, cloud2.x, fv1), dtype=float)
+            inner = float(tree_mean(np.einsum("md,md->m", b2, grad)))
+            if factor.y_hess is not None:
+                hess = np.asarray(factor.y_hess(t, cloud2.x, fv1), dtype=float)
+                inner += 0.5 * float(
+                    tree_mean(np.einsum("mik,mjk,mij->m", s2, s2, hess))
+                )
+            x_part = np.asarray(factor.x_part(t, cloud1.x, fv1), dtype=float)
+            measure = measure + x_part * inner
+        acc += cfg.dt * (local + measure)
+        dw1 = noise.increments(step, 0, n, model.noise_dim, cfg.dt)
+        dw2 = noise.increments(
+            step, 0, n, model.noise_dim, cfg.dt, NoiseStream.PURPOSE_STEP2
+        )
+        mart += np.einsum("nd,ndk,nk->n", dvdx, s1, dw1)
+        cloud1 = euler_step(cloud1, model, cfg, noise, shared_dw=dw1)
+        cloud2 = euler_step(cloud2, model, cfg, noise, shared_dw=dw2)
+        if cloud1.step in checkpoints:
+            fv1 = evaluate_functionals(model.functionals, cloud1.x)
+            v = np.asarray(lyap.v(cloud1.t, cloud1.x, fv1), dtype=float)
+            resid = v - v0 - acc - mart
+            band = 3.0 * float(np.std(resid, ddof=1)) / math.sqrt(n)
+            rows.append([cloud1.t, float(tree_mean(resid)), band])
+    return rows
+
+
+@pytest.mark.parametrize("init2", [None, UniformBox(-1.0, 1.5)], ids=["init", "init2"])
+@pytest.mark.parametrize("name", ["example1-quartic", "example2-nonlinear"])
+def test_full_residual_equals_a_hand_loop(name, init2):
+    # example2's v has a measure factor, so the companion's half of the
+    # block counts; the cut at level 2 freezes part of both clouds
+    sc = builtin_scenario(name)
+    assert bool(sc.lyap.measure_factors) == (name == "example2-nonlinear")
+    cfg = SimConfig(n_particles=400, horizon=0.2, steps_per_unit=100, cut_level=2, seed=4)
+    init = UniformBox(-2.5, 2.5)
+    series = ito_residual_full(sc.lyap, sc.model, cfg, init, init2)
+    want = full_residual_rows_by_hand(sc.lyap, sc.model, cfg, init, init2)
+    assert repr(series.rows) == repr(want)
+
+
 @pytest.mark.parametrize("full", [False, True], ids=["measure", "full"])
 def test_no_steps_positions_outlive_their_step(monkeypatch, full):
-    # the residual loops keep no name for the step-0 positions, so memory
-    # holds the current cloud(s) only, however long the run
-    lions = sys.modules["mkvlab.lions"]
-    step, seen = lions.euler_step, []
+    # the residuals keep no name for their step-0 clouds, so memory holds
+    # the current block only, however long the run; the full residual's
+    # pair steps as one block. The engine's loop makes the steps, and its
+    # positions live in reused workspace buffers, so the clouds are watched.
+    engine = sys.modules["mkvlab.simulate"]
+    step, seen = engine.euler_step, []
 
     def watched(cloud, *args, **kwargs):
-        seen.append(weakref.ref(cloud.x))
+        seen.append(weakref.ref(cloud))
         assert all(r() is None for r in seen[:-2])
         return step(cloud, *args, **kwargs)
 
-    monkeypatch.setattr(lions, "euler_step", watched)
+    monkeypatch.setattr(engine, "euler_step", watched)
     sc = builtin_scenario("example2-nonlinear")
     cfg = SimConfig(n_particles=30, horizon=0.25, steps_per_unit=20, cut_level=4, seed=1)
     if full:
         ito_residual_full(sc.lyap, sc.model, cfg, UniformBox(-0.5, 0.5))
     else:
         ito_residual_measure(moment_function(2), sc.model, cfg, UniformBox(-0.5, 0.5))
-    assert len(seen) == (2 if full else 1) * cfg.total_steps
+    assert len(seen) == cfg.total_steps

@@ -30,7 +30,6 @@ from mkvlab.simulate import (
     _run_clouds,
     coupled_simulate,
     euler_step,
-    load_initial_samples,
     simulate,
 )
 
@@ -154,14 +153,6 @@ def test_explicit_samples_are_validated():
     assert law.sample(2, 1, NoiseStream(0)).tolist() == [[0.1], [0.2]]
     with pytest.raises(ValueError):
         law.sample(3, 1, NoiseStream(0))
-
-
-def test_samples_load_from_disk(tmp_path):
-    path = tmp_path / "init.txt"
-    path.write_text("0.1\n-0.25\n3.0\n")
-    law = load_initial_samples(path)
-    assert law.samples.shape == (3, 1)
-    assert law.samples[:, 0].tolist() == [0.1, -0.25, 3.0]
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +660,12 @@ def cloud_state(c):
     return (c.step, c.x.tobytes(), {m: r.tobytes() for m, r in c.exit_step.items()})
 
 
-def loop_states(model, cfg, clouds):
+# step-noise purposes: one that every cloud shares, or one per cloud of a pair
+SHARED = (NoiseStream.PURPOSE_STEP,)
+INDEPENDENT = (NoiseStream.PURPOSE_STEP, NoiseStream.PURPOSE_STEP2)
+
+
+def loop_states(model, cfg, clouds, purposes=SHARED):
     """What ``_run_clouds`` hands ``observe``: step, positions, exit records.
 
     A cloud seen at one step must still read the same at the next one.
@@ -684,24 +680,32 @@ def loop_states(model, cfg, clouds):
         last[:] = [(c, s) for c, s in zip(clouds, states[-1])]
 
     fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
-    _run_clouds(model, cfg, NoiseStream(cfg.seed), clouds, fvs, observe)
+    _run_clouds(
+        model, cfg, NoiseStream(cfg.seed), clouds, fvs, observe, purposes=purposes
+    )
     return states
 
 
-def hand_states(model, cfg, clouds):
+def hand_states(model, cfg, clouds, purposes=SHARED):
     """The same states from public ``euler_step``, allocating every array.
 
-    The first cloud draws its own increments; the others get the same draw.
+    The first cloud draws its own increments on purpose 0. The others get
+    that draw, or with one purpose per cloud, the draw on their own purpose.
     """
     noise = NoiseStream(cfg.seed)
     marks = set(cfg.checkpoint_steps())
+    own = purposes if len(purposes) > 1 else purposes * len(clouds)
     states = []
     for i in range(cfg.total_steps):
         if i in marks:
             states.append([cloud_state(c) for c in clouds])
-        dw = noise.increments(i, 0, clouds[0].n, model.noise_dim, cfg.dt)
+        dws = [
+            noise.increments(i, 0, clouds[0].n, model.noise_dim, cfg.dt, p)
+            for p in own[1:]
+        ]
         clouds = [euler_step(clouds[0], model, cfg, noise)] + [
-            euler_step(c, model, cfg, noise, shared_dw=dw) for c in clouds[1:]
+            euler_step(c, model, cfg, noise, shared_dw=dw)
+            for c, dw in zip(clouds[1:], dws)
         ]
     states.append([cloud_state(c) for c in clouds])  # the last step is a mark
     return states
@@ -861,10 +865,11 @@ def assert_loop_equals_hand_loop(model, x0, cut, levels):
             for j in range(r)
         ]
 
-    # a pair, and three clouds, so the block is not checked with two only
-    for r in (2, 3):
-        got = loop_states(model, cfg, clouds(r))
-        want = hand_states(model, cfg, clouds(r))
+    # a pair, three clouds, so the block is not checked with two only, and
+    # a pair on independent noise
+    for r, purposes in ((2, SHARED), (3, SHARED), (2, INDEPENDENT)):
+        got = loop_states(model, cfg, clouds(r), purposes)
+        want = hand_states(model, cfg, clouds(r), purposes)
         assert len(got) == len(cfg.checkpoint_steps())
         assert len(got[0]) == r
         assert got == want
@@ -928,13 +933,19 @@ def test_engine_loop_blows_up_at_the_hand_loop_step():
 
 def loop_and_hand_faults(model, cfg, x0s):
     """The exception the loop raises for these clouds, and the one the
-    per-cloud hand loop raises, as (type, step, message) each."""
+    per-cloud hand loop raises, as (type, step, message) each: one such
+    pair with the clouds sharing their noise, one on independent noise."""
     faults = []
-    for run in (loop_states, hand_states):
-        clouds = [ParticleCloud.create(x0, model, cfg.tracked_levels()) for x0 in x0s]
-        with pytest.raises((BlowUpError, FloatingPointError)) as ei:
-            run(model, cfg, clouds)
-        faults.append((type(ei.value), getattr(ei.value, "step", None), str(ei.value)))
+    for purposes in (SHARED, INDEPENDENT):
+        pair = []
+        for run in (loop_states, hand_states):
+            levels = cfg.tracked_levels()
+            clouds = [ParticleCloud.create(x0, model, levels) for x0 in x0s]
+            with pytest.raises((BlowUpError, FloatingPointError)) as ei:
+                run(model, cfg, clouds, purposes)
+            error = ei.value
+            pair.append((type(error), getattr(error, "step", None), str(error)))
+        faults.append(pair)
     return faults
 
 
@@ -954,10 +965,10 @@ def test_second_cloud_blow_up_is_the_per_cloud_loop_error():
     )
     calm = np.array([[1.0], [0.0], [-1.0]])
     wild = np.array([[1.0], [1e300], [-1.0]])
-    got, want = loop_and_hand_faults(doubling, cfg, [calm, wild])
-    assert got == want
-    # the index within the second cloud, not the block row 4
-    assert got[0] is BlowUpError and got[1] > 1 and "particle 1 " in got[2]
+    for got, want in loop_and_hand_faults(doubling, cfg, [calm, wild]):
+        assert got == want
+        # the index within the second cloud, not the block row 4
+        assert got[0] is BlowUpError and got[1] > 1 and "particle 1 " in got[2]
 
 
 def test_second_cloud_coefficient_fault_is_the_per_cloud_loop_error():
@@ -977,10 +988,10 @@ def test_second_cloud_coefficient_fault_is_the_per_cloud_loop_error():
     )
     low = np.array([[-3.0], [-2.0], [-1.0]])
     high = np.array([[2.0], [3.0], [4.0]])
-    got, want = loop_and_hand_faults(cliff, cfg, [low, high])
-    assert got == want
-    # the third particle of the second cloud passes 5 at its fifth step
-    assert got[0] is FloatingPointError and "x=[5.25] (t=1.25)" in got[2]
+    for got, want in loop_and_hand_faults(cliff, cfg, [low, high]):
+        assert got == want
+        # the third particle of the second cloud passes 5 at its fifth step
+        assert got[0] is FloatingPointError and "x=[5.25] (t=1.25)" in got[2]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
