@@ -332,9 +332,9 @@ def ito_residual_measure(
     if u.d_mu is None or u.dy_d_mu is None:
         raise ValueError(f"measure function {u.uid!r} lacks analytic derivatives")
     noise = NoiseStream(cfg.seed, cfg.stream)
-    clouds = [_start(model, cfg, noise, init)]
-    fvs = [evaluate_functionals(model.functionals, clouds[0].x)]
-    u0, acc, mart_var = u(clouds[0].x), 0.0, 0.0
+    block = _start(model, cfg, noise, [init])
+    fvs = [evaluate_functionals(model.functionals, block.x)]
+    u0, acc, mart_var = u(block.x), 0.0, 0.0
     rows = [[0.0, 0.0, 0.0]]
 
     def before_step(clouds, fvs, coefficients, dw):
@@ -353,7 +353,7 @@ def ito_residual_measure(
         if cloud.step:
             rows.append([cloud.t, u(cloud.x) - u0 - acc, 3.0 * math.sqrt(mart_var)])
 
-    _run_clouds(model, cfg, noise, clouds, fvs, observe, hook=before_step)
+    _run_clouds(model, cfg, noise, block, fvs, observe, hook=before_step)
     return DiagnosticsSeries(
         columns=["t", "R", "band"],
         rows=rows,
@@ -381,12 +381,11 @@ def ito_residual_full(
     cross-particle band.
     """
     noise = NoiseStream(cfg.seed, cfg.stream)
-    clouds = [
-        _start(model, cfg, noise, init),
-        _start(model, cfg, noise, init2 or init, NoiseStream.PURPOSE_INIT2),
-    ]
+    block = _start(model, cfg, noise, [init, init2 or init])
+    clouds = block.split(2)
     fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
-    v0 = _floats(lyap.v(0.0, clouds[0].x, fvs[0]))
+    # a copy: v may return a view of the positions, which the steps move
+    v0 = np.array(lyap.v(0.0, clouds[0].x, fvs[0]), dtype=float)
     n = cfg.n_particles
     acc, mart = np.zeros(n), np.zeros(n)
     rows = [[0.0, 0.0, 0.0]]
@@ -422,7 +421,7 @@ def ito_residual_full(
             rows.append([cloud.t, float(tree_mean(resid)), band])
 
     _run_clouds(
-        model, cfg, noise, clouds, fvs, observe, hook=before_step,
+        model, cfg, noise, block, fvs, observe, hook=before_step,
         purposes=(NoiseStream.PURPOSE_STEP, NoiseStream.PURPOSE_STEP2),
     )
     return DiagnosticsSeries(

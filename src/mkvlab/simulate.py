@@ -17,10 +17,11 @@ initial laws) are Philox raw words at the same key, random-access (see
 ``NoiseStream``).
 
 The engine is serial: ``simulate``, ``coupled_simulate`` and the Itô
-residuals share one time loop. It stacks the clouds of a run (one, a coupled
-pair, or an Itô pair on independent noise) into one block of rows, draws
-each step's increments into one buffer, and advances the whole block with
-one ``euler_step``.
+residuals share one time loop. A run draws its clouds (one, a coupled pair,
+or an Itô pair on independent noise) into one block of rows at step 0, and
+that block is the run's only particle state: each step draws the increments
+into one buffer and advances the whole block in place with one
+``euler_step``.
 """
 
 from __future__ import annotations
@@ -393,7 +394,8 @@ class ParticleCloud:
 
     @staticmethod
     def create(x0: np.ndarray, model: ModelSpec, levels) -> "ParticleCloud":
-        x0 = np.asarray(x0, dtype=float)
+        """A step-0 cloud that owns a copy of ``x0``."""
+        x0 = np.array(x0, dtype=float)
         if x0.ndim == 1:
             x0 = x0[:, None]
         exit_step = {}
@@ -403,28 +405,21 @@ class ParticleCloud:
             exit_step[ladder_level(m)] = rec
         return ParticleCloud(x=x0, t=0.0, step=0, exit_step=exit_step)
 
-    @staticmethod
-    def stack(clouds) -> "ParticleCloud":
-        """One cloud holding the rows of ``clouds`` (all at one step), in order.
-
-        A single cloud is returned as it is; otherwise positions and exit
-        records are copied into new arrays.
-        """
-        if len(clouds) == 1:
-            return clouds[0]
-        first = clouds[0]
+    def copy(self) -> "ParticleCloud":
+        """A cloud that owns copies of these positions and exit records."""
         return ParticleCloud(
-            x=np.concatenate([c.x for c in clouds]),
-            t=first.t,
-            step=first.step,
-            exit_step={
-                m: np.concatenate([c.exit_step[m] for c in clouds])
-                for m in first.exit_step
-            },
+            x=self.x.copy(),
+            t=self.t,
+            step=self.step,
+            exit_step={m: rec.copy() for m, rec in self.exit_step.items()},
         )
 
     def split(self, r: int) -> list:
-        """The ``r`` equal clouds stacked in this one, as views of its rows."""
+        """The ``r`` equal clouds stacked in this one, as views of its rows.
+
+        A view's positions and records move with this cloud; its ``t`` and
+        ``step`` are those of the moment it was made.
+        """
         if r == 1:
             return [self]
         n = self.n // r
@@ -448,24 +443,12 @@ class ParticleCloud:
         rec = self.exit_step[m]
         return float(np.count_nonzero(rec >= 0)) / rec.shape[0]
 
-    def update_exits(self, model: ModelSpec, step: int, work=None) -> None:
-        """Stamp ``step`` on particles seen outside D_m for the first time.
-
-        Record arrays are never written in place: a level's array is
-        replaced only when some particle exits, so clouds that share records
-        (a step's input and output) never see each other's updates. The new
-        array is fresh, or the spare record buffer of the loop's ``work``.
-        """
-        records = {} if work is None else work.records
-        for m, rec in list(self.exit_step.items()):
+    def update_exits(self, model: ModelSpec, step: int) -> None:
+        """Stamp ``step``, in place, on particles seen outside D_m for the
+        first time."""
+        for m, rec in self.exit_step.items():
             fresh = (rec < 0) & ~model.ladder.contains(self.x, m)
-            if fresh.any():
-                new = _Workspace.spare(records.get(m), rec)
-                if new is None:
-                    new = np.empty_like(rec)
-                np.copyto(new, rec)
-                np.copyto(new, step, where=fresh)
-                self.exit_step[m] = new
+            np.copyto(rec, step, where=fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -474,72 +457,43 @@ class ParticleCloud:
 
 
 class _Workspace:
-    """The buffers the steps of one cloud, or of one block of stacked clouds,
-    write into instead of fresh arrays.
+    """The buffers a step of n rows (one cloud, or one block of clouds)
+    writes into instead of fresh arrays: the cut coefficients (b, σ) that
+    ``evaluate_coefficients(out=)`` fills, the update's scratch term
+    ``kick`` and the finiteness mask ``finite``. Positions and exit records
+    need none: the step advances them in place."""
 
-    ``_run_clouds`` builds one from its step-0 block; a bare
-    ``_Workspace()`` holds none, and a step given it allocates everything.
-    Positions and each level's exit record have two buffers, used in turn:
-    a step writes the one its input cloud does not hold (``spare``), so a
-    cloud's arrays stay valid until the step after next. A record changes
-    on every step where some particle leaves its box for the first time,
-    which is most steps of a large cloud (62.5% of them at level 2 in the
-    benchmark's ``cir-large``, N=1e5); a fresh array on each of those
-    steps would page its N words in anew.
-    """
-
-    def __init__(self, cloud: ParticleCloud | None = None, model=None):
-        self.x = self.coefficients = self.kick = self.finite = None
-        self.records = {}
-        if cloud is None:
-            return
-        n, d = cloud.x.shape
-        self.x = (np.empty((n, d)), np.empty((n, d)))
+    def __init__(self, n: int, model: ModelSpec):
+        d = model.dim
         self.coefficients = (np.empty((n, d)), np.empty((n, d, model.noise_dim)))
         self.kick = np.empty((n, d))
         self.finite = np.empty((n, d), dtype=bool)
-        self.records = {
-            m: (np.empty_like(rec), np.empty_like(rec))
-            for m, rec in cloud.exit_step.items()
-        }
-
-    @staticmethod
-    def spare(pair, current):
-        """The buffer of ``pair`` that is not ``current`` (None without one)."""
-        if pair is None:
-            return None
-        return pair[1] if current is pair[0] else pair[0]
 
 
-def _displace(x, b, s, dw, dt, out=None, kick=None) -> np.ndarray:
-    """One Euler displacement x + b·Δt + σ·Δw, row by row.
+def _displace(x, b, s, dw, dt, kick) -> None:
+    """Move ``x`` in place by one Euler displacement b·Δt + σ·Δw, row by row.
 
     ``x``, ``b`` and ``s`` may stack R clouds of the N rows of ``dw``: row i
     of every cloud moves with increment i, and ``dw`` is never copied.
-    ``out`` and ``kick`` are buffers of ``x``'s shape for the result and the
-    scratch term; without them both are fresh. The operations are the same.
+    ``kick`` is a buffer of ``x``'s shape for the scratch term. The sum is
+    (x + b·Δt) + σ·Δw, in that order.
     """
     n = dw.shape[0]
     r = x.shape[0] // n
     # overflow here *is* the blow-up; the caller turns the resulting
     # non-finite positions into a typed error, so the warning is noise
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.add(x, np.multiply(b, dt, out=kick), out=out)
+        x += np.multiply(b, dt, out=kick)
         if s.shape[1:] == (1, 1):
             # einsum sums its one product onto +0.0, which turns a −0.0
             # product into +0.0; adding 0.0 keeps this path bit-identical.
             # The R clouds multiply as (R, N, 1) against dw's (N, 1).
-            view = None if kick is None else kick.reshape(r, n, 1)
-            kick = np.multiply(s[:, :, 0].reshape(r, -1, 1), dw, out=view)
-            kick = kick.reshape(out.shape)
+            np.multiply(s[:, :, 0].reshape(r, -1, 1), dw, out=kick.reshape(r, n, 1))
             kick += 0.0
         else:
-            if kick is None:
-                kick = np.empty(out.shape)
             for j in range(0, x.shape[0], n):
                 np.einsum("ndk,nk->nd", s[j : j + n], dw, out=kick[j : j + n])
-        out += kick
-    return out
+        x += kick
 
 
 def euler_step(
@@ -552,13 +506,12 @@ def euler_step(
     coefficients: tuple | None = None,
     work: _Workspace | None = None,
 ) -> ParticleCloud:
-    """Advance the cloud one grid step (t_i → t_{i+1}); ``cloud`` is untouched.
+    """Advance the cloud one grid step (t_i → t_{i+1}).
 
     Cut coefficients are evaluated at the pre-step state, with functional
     values reduced once from the pre-step cloud; exit records update after
     the move. ``shared_dw`` lets two coupled clouds consume identical
-    increments. The step is serial: the CLI's ``--threads`` is accepted and
-    has no effect.
+    increments.
 
     A caller that already holds the pre-step functional values ``fv``, or
     the cut coefficients ``coefficients`` = (b, σ) from
@@ -566,26 +519,24 @@ def euler_step(
     passes them in instead of having them evaluated a second time.
 
     ``cloud`` may be a block of R clouds of N particles each, stacked in
-    order (``ParticleCloud.stack``): ``fv`` is then the list of the R
-    clouds' functional values, ``shared_dw`` (or the draw) holds N rows
-    that every cloud uses, or R·N rows, one per block row, for clouds on
-    independent noise, and a blow-up names the particle by its index within
-    its own cloud. Each cloud's numbers are those of its own
-    step, and so is the error when one cloud faults. When a cloud blows up at
-    a step where a later cloud's coefficients are non-finite, the block
-    reports the coefficient fault, where R steps in order would report the
-    blow-up.
+    order: ``fv`` is then the list of the R clouds' functional values,
+    ``shared_dw`` (or the draw) holds N rows that every cloud uses, or R·N
+    rows, one per block row, for clouds on independent noise, and a blow-up
+    names the particle by its index within its own cloud. Each cloud's
+    numbers are those of its own step, and so is the error when one cloud
+    faults. When a cloud blows up at a step where a later cloud's
+    coefficients are non-finite, the block reports the coefficient fault,
+    where R steps in order would report the blow-up.
 
-    Without ``work`` every array the step makes is fresh, and the returned
-    cloud owns its positions. ``work`` is the workspace of the engine's own
-    loop (``_run_clouds``): the step writes into its buffers,
-    and the returned cloud's ``x`` and new exit records are workspace
-    buffers that stay valid through the next step of that workspace and are
-    overwritten by the one after. Copy them to keep them longer. The
-    numbers are the same either way.
+    Without ``work``, ``cloud`` is untouched: the step advances a copy of
+    it, with a workspace of its own, and returns that copy. ``work`` is the
+    workspace of the engine's own loop (``_run_clouds``): the step then
+    advances ``cloud`` itself in place, positions and exit records, and
+    returns it. The numbers are the same either way.
     """
     if work is None:
-        work = _Workspace()
+        cloud = cloud.copy()
+        work = _Workspace(cloud.n, model)
     n = cloud.n if fv is None or isinstance(fv, dict) else cloud.n // len(fv)
     dw = shared_dw
     if dw is None:
@@ -597,10 +548,8 @@ def euler_step(
         coefficients = evaluate_coefficients(
             model, t, cloud.x, fv, cfg.cut_level, out=work.coefficients
         )
-    x_new = _displace(
-        cloud.x, *coefficients, dw, cfg.dt, work.spare(work.x, cloud.x), work.kick
-    )
-    finite = np.isfinite(x_new, out=work.finite)
+    _displace(cloud.x, *coefficients, dw, cfg.dt, work.kick)
+    finite = np.isfinite(cloud.x, out=work.finite)
     if not finite.all():
         i = int(np.argmax(~finite.all(axis=1))) % n
         t_next = (cloud.step + 1) / cfg.steps_per_unit
@@ -610,14 +559,10 @@ def euler_step(
             step=cloud.step + 1,
             time=t_next,
         )
-    nxt = ParticleCloud(
-        x=x_new,
-        t=(cloud.step + 1) / cfg.steps_per_unit,
-        step=cloud.step + 1,
-        exit_step=dict(cloud.exit_step),
-    )
-    nxt.update_exits(model, nxt.step, work)
-    return nxt
+    cloud.step += 1
+    cloud.t = cloud.step / cfg.steps_per_unit
+    cloud.update_exits(model, cloud.step)
+    return cloud
 
 
 # ---------------------------------------------------------------------------
@@ -724,32 +669,29 @@ def _base_meta(model, cfg) -> dict:
 
 
 def _run_clouds(
-    model, cfg, noise, clouds, fvs, observe, hook=None,
+    model, cfg, noise, block, fvs, observe, hook=None,
     purposes=(NoiseStream.PURPOSE_STEP,),
 ) -> None:
     """The time loop of ``simulate``, ``coupled_simulate`` and the Itô
     residuals of ``mkvlab.lions``.
 
-    The R clouds in ``clouds`` are stacked once into one block of R·N rows,
-    and each step is one ``euler_step`` of the block, so the step's fixed
-    cost is paid once, not per cloud. ``purposes`` holds the step noise's
-    purpose ids: with one, every cloud shares it, and particle i of every
-    cloud moves with increment i, so a lone cloud gets the very draw
+    ``block`` is the run's step-0 block of R clouds of N rows each, in
+    order, with R = ``len(fvs)`` and ``fvs`` each cloud's functional values
+    at step 0. Each step is one ``euler_step`` that advances the block in
+    place, so the step's fixed cost is paid once, not per cloud, and the
+    block is the run's only particle state. ``purposes`` holds the step
+    noise's purpose ids: with one, every cloud shares it, and particle i of
+    every cloud moves with increment i, so a lone cloud gets the very draw
     ``euler_step`` would make for itself; with R, each cloud draws on its
     own purpose into its own rows of one (R·N, d') buffer. Before each step
     the loop evaluates the block's cut coefficients into the workspace and
     hands them to ``euler_step``; ``hook(clouds, fvs, (b, σ), dw)``, if
     given, sees them first, with the pre-step clouds, their functional
     values and the step's increments. After each step the loop reduces
-    every cloud's functionals on its own rows, for the next step. ``fvs``
-    holds each cloud's functional values at step 0. At every checkpoint
-    step (the checkpoints always include step 0) ``observe(clouds, fvs)``
-    is called. ``observe`` and ``hook`` see each cloud as a
-    ``ParticleCloud`` view of its rows of the block.
-
-    ``clouds`` is emptied once it is stacked: a caller that keeps no other
-    reference to the step-0 clouds does not hold them, N·(d + levels) words
-    each, for the whole run.
+    every cloud's functionals on its own rows, for the next step. At every
+    checkpoint step (the checkpoints always include step 0)
+    ``observe(clouds, fvs)`` is called. ``observe`` and ``hook`` see each
+    cloud as a ``ParticleCloud`` view of its rows of the block.
 
     The loop owns its memory: one noise buffer, one ``_Workspace`` for the
     block that the coefficients and ``euler_step`` write into, and one
@@ -759,13 +701,12 @@ def _run_clouds(
     arrays that later steps overwrite; they copy what they keep.
     """
     marks = set(cfg.checkpoint_steps())
-    r, n = len(clouds), clouds[0].n
-    block = ParticleCloud.stack(clouds)
-    clouds.clear()
+    r = len(fvs)
+    n = block.n // r
     rows = [slice(j * n, (j + 1) * n) for j in range(r)]
     dw, scratch = np.empty((len(purposes) * n, model.noise_dim)), np.empty(n)
     draws = [(purpose, dw[j]) for purpose, j in zip(purposes, rows)]
-    work = _Workspace(block, model)
+    work = _Workspace(block.n, model)
     observe(block.split(r), fvs)
     for i in range(cfg.total_steps):
         for purpose, out in draws:
@@ -775,7 +716,7 @@ def _run_clouds(
         )
         if hook is not None:
             hook(block.split(r), fvs, coefficients, dw)
-        block = euler_step(
+        euler_step(
             block, model, cfg, noise, shared_dw=dw, fv=fvs,
             coefficients=coefficients, work=work,
         )
@@ -790,9 +731,17 @@ def _run_clouds(
             observe(block.split(r), fvs)
 
 
-def _start(model, cfg, noise, law, purpose=NoiseStream.PURPOSE_INIT):
-    """A step-0 cloud drawn from ``law`` on noise purpose ``purpose``."""
-    x0 = law.sample(cfg.n_particles, model.dim, noise, purpose)
+def _start(model, cfg, noise, laws) -> ParticleCloud:
+    """The step-0 block of one cloud per law of ``laws`` (one or two): the
+    first draws on noise purpose ``PURPOSE_INIT``, the second on
+    ``PURPOSE_INIT2``."""
+    purposes = (NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_INIT2)
+    x0 = np.concatenate(
+        [
+            law.sample(cfg.n_particles, model.dim, noise, purpose)
+            for law, purpose in zip(laws, purposes)
+        ]
+    )
     return ParticleCloud.create(x0, model, cfg.tracked_levels())
 
 
@@ -818,14 +767,14 @@ def simulate(
     arrays at checkpoints (occupation-measure experiments need them).
     """
     noise = NoiseStream(cfg.seed, cfg.stream)
-    clouds = [_start(model, cfg, noise, init)]
-    fvs = [evaluate_functionals(model.functionals, clouds[0].x)]
-    ev0 = _ev0(lyap, clouds[0], fvs[0])
+    block = _start(model, cfg, noise, [init])
+    fvs = [evaluate_functionals(model.functionals, block.x)]
+    ev0 = _ev0(lyap, block, fvs[0])
     rec = _Recorder(model, lyap, cfg, ev0)
     meta = _base_meta(model, cfg)
     meta["ev0"] = ev0
     for m in cfg.tracked_levels():
-        meta[f"p0_out_{m:g}"] = clouds[0].exit_fraction(m)
+        meta[f"p0_out_{m:g}"] = block.exit_fraction(m)
 
     snapshots = []
 
@@ -834,7 +783,7 @@ def simulate(
         if keep_snapshots:
             snapshots.append((clouds[0].t, clouds[0].x.copy()))
 
-    _run_clouds(model, cfg, noise, clouds, fvs, observe)
+    _run_clouds(model, cfg, noise, block, fvs, observe)
     return DiagnosticsSeries(
         columns=rec.columns, rows=rec.rows, meta=meta, snapshots=snapshots
     )
@@ -860,10 +809,8 @@ def coupled_simulate(
     noise = NoiseStream(cfg.seed, cfg.stream)
     # A distinct purpose id keeps the second cloud's *initial* draw
     # independent while step noise stays shared.
-    clouds = [
-        _start(model, cfg, noise, init1),
-        _start(model, cfg, noise, init2, NoiseStream.PURPOSE_INIT2),
-    ]
+    block = _start(model, cfg, noise, [init1, init2])
+    clouds = block.split(2)
     fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
     recs = [
         _Recorder(model, lyap, cfg, _ev0(lyap, c, fv)) for c, fv in zip(clouds, fvs)
@@ -883,7 +830,7 @@ def coupled_simulate(
             band = 3.0 * float(np.std(values, ddof=1)) / math.sqrt(values.size)
         dist_rows.append([clouds[0].t, float(tree_mean(values)), band])
 
-    _run_clouds(model, cfg, noise, clouds, fvs, observe)
+    _run_clouds(model, cfg, noise, block, fvs, observe)
 
     series = [
         DiagnosticsSeries(columns=r.columns, rows=r.rows, meta=m)

@@ -80,6 +80,11 @@ def test_tracer_reaches_the_engine_loop(bench):
     )
     # each run looks the traced names up only once the tracer is installed
     runs = {
+        # one cloud: the loop's block is the lone step-0 cloud
+        "simulate": (
+            lambda: engine.simulate(sc.model, sc.lyap, cfg, engine.PointMass(0.5)),
+            engine_keys,
+        ),
         "coupled": (
             lambda: engine.coupled_simulate(
                 sc.model, cfg, engine.PointMass(0.0), engine.PointMass(0.9),

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mkvlab.cli import (
+    EXPERIMENTS,
     ConfigError,
     RunConfig,
     _resolve,
@@ -72,6 +75,80 @@ def test_fully_populated_config_round_trips_exactly():
     text = serialize_config(rc)
     assert parse_config(text) == rc
     # serialization is a fixed point, so configs diff cleanly
+    assert serialize_config(parse_config(text)) == text
+
+
+# What the format can carry: values are stripped and split on whitespace,
+# and '#' starts a comment, so a text value is a token free of both. NaN is
+# rejected on input. Scenario parameter keys end at the first '=', and
+# 'scenario.name' is the scenario itself. A tuple of tokens spells the empty
+# tuple 'none', so the one-token tuple ('none',) has no text of its own.
+FLOATS = st.floats(allow_nan=False)
+TOKENS = st.text(min_size=1).filter(
+    lambda t: "#" not in t and not any(c.isspace() for c in t)
+)
+
+
+@st.composite
+def initial_laws(draw):
+    kind = draw(st.sampled_from(("default", "point", "uniform")))
+    if kind == "default":
+        return "default"
+    dim = draw(st.integers(1, 3))
+    if kind == "point":
+        coords = draw(st.lists(FLOATS, min_size=dim, max_size=dim))
+    else:
+        pairs = draw(
+            st.lists(
+                st.tuples(FLOATS, FLOATS).filter(lambda p: p[0] != p[1]),
+                min_size=dim,
+                max_size=dim,
+            )
+        )
+        coords = [min(p) for p in pairs] + [max(p) for p in pairs]
+    return " ".join([kind] + [repr(c) for c in coords])
+
+
+RUN_CONFIGS = st.builds(
+    RunConfig,
+    experiment=st.sampled_from(EXPERIMENTS),
+    out=TOKENS,
+    tolerance=FLOATS,
+    scenario_name=TOKENS,
+    scenario_params=st.dictionaries(
+        TOKENS.filter(lambda t: "=" not in t and t != "name"), FLOATS, max_size=3
+    ),
+    n_particles=st.integers(),
+    horizon=FLOATS,
+    steps_per_unit=st.integers(),
+    cut_level=st.integers(),
+    seed=st.integers(),
+    exit_levels=st.lists(st.integers(), max_size=4).map(tuple),
+    threads=st.integers(),
+    stream=st.integers(),
+    checkpoints=st.none() | st.lists(FLOATS, max_size=4).map(tuple),
+    init=initial_laws(),
+    init_b=initial_laws(),
+    stability_mode=st.sampled_from(("auto", "pointwise", "integrated")),
+    vbar_power=FLOATS,
+    horizons=st.lists(FLOATS, max_size=4).map(tuple),
+    lions_functions=st.lists(TOKENS, max_size=4)
+    .map(tuple)
+    .filter(lambda fs: fs != ("none",)),
+    lions_atoms=st.integers(),
+    probes=st.integers(),
+    probe_atoms=st.integers(),
+    probe_scale=FLOATS,
+    t_samples=st.lists(FLOATS, max_size=4).map(tuple),
+    wasserstein_p=FLOATS,
+)
+
+
+@settings(deadline=None)
+@given(RUN_CONFIGS)
+def test_random_configs_round_trip(rc):
+    text = serialize_config(rc)
+    assert parse_config(text) == rc
     assert serialize_config(parse_config(text)) == text
 
 

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -367,17 +366,17 @@ def test_full_residual_equals_a_hand_loop(name, init2):
 
 @pytest.mark.parametrize("full", [False, True], ids=["measure", "full"])
 def test_no_steps_positions_outlive_their_step(monkeypatch, full):
-    # the residuals keep no name for their step-0 clouds, so memory holds
-    # the current block only, however long the run; the full residual's
-    # pair steps as one block. The engine's loop makes the steps, and its
-    # positions live in reused workspace buffers, so the clouds are watched.
+    # the engine's loop makes the residuals' steps, and a run's step-0 block
+    # is its only particle state: every step advances that one object in
+    # place and returns it; the full residual's pair steps as one block
     engine = sys.modules["mkvlab.simulate"]
     step, seen = engine.euler_step, []
 
     def watched(cloud, *args, **kwargs):
-        seen.append(weakref.ref(cloud))
-        assert all(r() is None for r in seen[:-2])
-        return step(cloud, *args, **kwargs)
+        seen.append(cloud)
+        stepped = step(cloud, *args, **kwargs)
+        assert stepped is cloud
+        return stepped
 
     monkeypatch.setattr(engine, "euler_step", watched)
     sc = builtin_scenario("example2-nonlinear")
@@ -387,3 +386,5 @@ def test_no_steps_positions_outlive_their_step(monkeypatch, full):
     else:
         ito_residual_measure(moment_function(2), sc.model, cfg, UniformBox(-0.5, 0.5))
     assert len(seen) == cfg.total_steps
+    assert all(cloud is seen[0] for cloud in seen)
+    assert seen[0].n == (2 if full else 1) * cfg.n_particles

@@ -2,7 +2,6 @@
 
 import math
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -392,18 +391,16 @@ def test_scalar_update_matches_the_general_einsum_path():
     x, b, s, dw = (grid[:, j][:, None] for j in range(4))
     dt = 1e-3
     want = x + b * dt + np.einsum("ndk,nk->nd", s[:, :, None], dw)
-    assert _displace(x, b, s[:, :, None], dw, dt).tobytes() == want.tobytes()
     # d = 2, d' = 3 goes through the einsum itself
     rng = np.random.default_rng(0)
     x2, b2 = rng.standard_normal((2, 5, 2))
     s2, dw2 = rng.standard_normal((5, 2, 3)), rng.standard_normal((5, 3))
     want2 = x2 + b2 * dt + np.einsum("ndk,nk->nd", s2, dw2)
-    assert _displace(x2, b2, s2, dw2, dt).tobytes() == want2.tobytes()
-    # both paths again, writing into the loop's result and scratch buffers
+    # the update moves its positions in place, through a scratch buffer
     for args, w in (((x, b, s[:, :, None], dw), want), ((x2, b2, s2, dw2), want2)):
-        out, kick = np.full(w.shape, np.nan), np.full(w.shape, np.nan)
-        got = _displace(*args, dt, out=out, kick=kick)
-        assert got is out and got.tobytes() == w.tobytes()
+        moved, kick = args[0].copy(), np.full(w.shape, np.nan)
+        _displace(moved, *args[1:], dt, kick)
+        assert moved.tobytes() == w.tobytes()
 
 
 def test_euler_step_leaves_its_input_cloud_alone():
@@ -421,6 +418,10 @@ def test_euler_step_leaves_its_input_cloud_alone():
         assert np.array_equal(rec, before[m])
         assert np.array_equal(first.exit_step[m], again.exit_step[m])
     assert np.array_equal(first.x, again.x)
+    # the result owns its arrays: nothing of it is the input's memory
+    assert not np.shares_memory(first.x, cloud.x)
+    for m, rec in cloud.exit_step.items():
+        assert not np.shares_memory(first.exit_step[m], rec)
 
 
 def test_passed_in_functionals_and_coefficients_change_nothing():
@@ -632,15 +633,17 @@ def test_first_coupled_cloud_is_the_single_cloud_run(name):
 
 
 def test_no_steps_cloud_outlives_its_step(monkeypatch):
-    # the drivers keep no reference to an earlier state, so memory holds one
-    # block of clouds however long the run; a coupled pair steps as one block
+    # a run's step-0 block is its only particle state: every step of the run
+    # advances that one object in place and returns it; a coupled pair steps
+    # as one block
     engine = sys.modules["mkvlab.simulate"]
     step, seen = engine.euler_step, []
 
     def watched(cloud, *args, **kwargs):
-        seen.append(weakref.ref(cloud))
-        assert all(r() is None for r in seen[:-2])
-        return step(cloud, *args, **kwargs)
+        seen.append(cloud)
+        stepped = step(cloud, *args, **kwargs)
+        assert stepped is cloud
+        return stepped
 
     monkeypatch.setattr(engine, "euler_step", watched)
     sc = builtin_scenario("linear-meanfield")
@@ -648,7 +651,12 @@ def test_no_steps_cloud_outlives_its_step(monkeypatch):
     coupled_simulate(
         sc.model, small_cfg(), PointMass(0.0), PointMass(1.0), vbar=lambda z: z**2
     )
-    assert len(seen) == 2 * small_cfg().total_steps
+    steps = small_cfg().total_steps
+    assert len(seen) == 2 * steps
+    for run in (seen[:steps], seen[steps:]):
+        assert all(cloud is run[0] for cloud in run)
+    assert seen[0].n == small_cfg().n_particles
+    assert seen[steps].n == 2 * small_cfg().n_particles
 
 
 # ---------------------------------------------------------------------------
@@ -666,22 +674,18 @@ INDEPENDENT = (NoiseStream.PURPOSE_STEP, NoiseStream.PURPOSE_STEP2)
 
 
 def loop_states(model, cfg, clouds, purposes=SHARED):
-    """What ``_run_clouds`` hands ``observe``: step, positions, exit records.
-
-    A cloud seen at one step must still read the same at the next one.
-    """
-    states, last = [], []
+    """What ``_run_clouds`` hands ``observe``: step, positions, exit records."""
+    states = []
 
     def observe(clouds, fvs):
-        for c, state in last:
-            if c.step + 1 == clouds[0].step:
-                assert cloud_state(c) == state
         states.append([cloud_state(c) for c in clouds])
-        last[:] = [(c, s) for c, s in zip(clouds, states[-1])]
 
+    block = ParticleCloud.create(
+        np.concatenate([c.x for c in clouds]), model, cfg.tracked_levels()
+    )
     fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
     _run_clouds(
-        model, cfg, NoiseStream(cfg.seed), clouds, fvs, observe, purposes=purposes
+        model, cfg, NoiseStream(cfg.seed), block, fvs, observe, purposes=purposes
     )
     return states
 
@@ -925,9 +929,13 @@ def test_engine_loop_blows_up_at_the_hand_loop_step():
     x0 = np.array([[1e300], [1.0], [-1e299]])
     steps = []
     for run in (loop_states, hand_states):
+        cloud = ParticleCloud.create(x0, runaway, cfg.tracked_levels())
+        # steps advance a cloud in place, so it owns a copy of its x0
+        assert not np.shares_memory(cloud.x, x0)
         with pytest.raises(BlowUpError) as ei:
-            run(runaway, cfg, [ParticleCloud.create(x0, runaway, cfg.tracked_levels())])
+            run(runaway, cfg, [cloud])
         steps.append(ei.value.step)
+        assert x0.tobytes() == np.array([[1e300], [1.0], [-1e299]]).tobytes()
     assert steps[0] == steps[1] > 1
 
 
