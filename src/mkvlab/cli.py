@@ -15,9 +15,8 @@ Exit codes follow one convention across subcommands:
 | 4 | a monitored bound or check reported findings       |
 
 The engine is serial. A worker count is still accepted from ``--threads``,
-then the ``MKVLAB_THREADS`` environment variable, then ``sim.threads``, and
-must be an integer >= 1 for every subcommand (exit 2 otherwise), but it has
-no effect on the run or on any emitted byte.
+then ``sim.threads``, and must be an integer >= 1 for every subcommand
+(exit 2 otherwise), but it has no effect on the run or on any emitted byte.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -491,6 +489,12 @@ def cmd_lions_check(rc: RunConfig) -> int:
 
 
 def cmd_lyapunov_check(rc: RunConfig) -> int:
+    # with no probe cloud or no time sample there is nothing to check, and
+    # an empty report would pass
+    if rc.probes < 1:
+        raise ConfigError(f"must be >= 1, got {rc.probes}", key="lyapunov.probes")
+    if not rc.t_samples:
+        raise ConfigError("need at least one time sample", key="lyapunov.t_samples")
     scenario = rc.scenario()
     if scenario.lyap is None:
         raise ConfigError(
@@ -567,7 +571,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, metavar="U64", help="override sim.seed")
     parser.add_argument("--threads", type=int, metavar="N",
                         help="accepted for compatibility, no effect; must be >= 1 "
-                        "(default: $MKVLAB_THREADS, then config)")
+                        "(default: config)")
     parser.add_argument("--out", metavar="DIR", help="output directory")
     parser.add_argument("--tolerance", type=float, metavar="REAL",
                         help="relative slack for bound checks")
@@ -610,11 +614,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         rc.seed = args.seed
     if args.threads is not None:
         rc.threads = args.threads
-    elif os.environ.get("MKVLAB_THREADS"):
-        try:
-            rc.threads = int(os.environ["MKVLAB_THREADS"])
-        except ValueError:
-            raise ConfigError("MKVLAB_THREADS must be an integer")
     if rc.threads < 1:
         raise ConfigError(f"must be >= 1, got {rc.threads}", key="sim.threads")
     if args.out is not None:

@@ -154,40 +154,6 @@ class DomainLadder:
         """True when D = ℝ^d: no bound is finite, so every position is in D."""
         return not any(math.isfinite(end) for end in (*self.lower, *self.upper))
 
-    def validate_ladder(self, k_max: int = 64) -> None:
-        """Check nesting, containment in D, and exhaustion up to ``k_max``."""
-        lo_d = np.asarray(self.lower)
-        hi_d = np.asarray(self.upper)
-        prev = None
-        for k in range(1, k_max + 1):
-            lo, hi = self.box(k)
-            if not (np.all(lo < hi)):
-                raise ValueError(f"D_{k} is empty")
-            if not (np.all(lo > lo_d) and np.all(hi < hi_d)):
-                raise ValueError(f"closure(D_{k}) is not inside D")
-            if prev is not None:
-                plo, phi = prev
-                if not (np.all(lo <= plo) and np.all(hi >= phi)):
-                    raise ValueError(f"D_{k-1} ⊄ D_{k}: ladder not nested")
-                if np.all(lo == plo) and np.all(hi == phi):
-                    raise ValueError(f"D_{k-1} = D_{k}: ladder not strict")
-            prev = (lo, hi)
-        # exhaustion: endpoints must approach D's endpoints monotonically
-        lo1, hi1 = self.box(1)
-        lo_far, hi_far = self.box(k_max)
-        gap1 = np.where(np.isfinite(lo_d), lo1 - lo_d, 1.0 / np.maximum(hi1, 1.0))
-        gap_far = np.where(
-            np.isfinite(lo_d), lo_far - lo_d, 1.0 / np.maximum(hi_far, 1.0)
-        )
-        if not np.all(gap_far <= gap1 / 2 + 1e-12):
-            raise ValueError("ladder lower endpoints do not approach D's")
-        up1 = np.where(np.isfinite(hi_d), hi_d - hi1, 1.0 / np.maximum(hi1, 1.0))
-        up_far = np.where(
-            np.isfinite(hi_d), hi_d - hi_far, 1.0 / np.maximum(hi_far, 1.0)
-        )
-        if not np.all(up_far <= up1 / 2 + 1e-12):
-            raise ValueError("ladder upper endpoints do not approach D's")
-
 
 # ---------------------------------------------------------------------------
 # measure functionals

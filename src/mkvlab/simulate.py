@@ -100,11 +100,11 @@ class NoiseStream:
       a bijection, so distinct keys give distinct states. The reset costs a
       few µs, as the Philox one does; a ``SeedSequence`` would cost 14–20
       µs per call. The ziggurat consumes a variable number of raw words per
-      draw, so normals are *prefix-stable* rather than random-access: the
-      first k rows never depend on how many rows were asked for, and a
-      nonzero ``start_particle`` draws the rows before it and slices them
-      off. They are byte-reproducible for a given numpy version only
-      (``standard_normal`` is outside numpy's raw-bit-stream guarantee).
+      draw, so normals are *prefix-stable* rather than random-access: they
+      are always drawn from particle 0, and the first k rows never depend
+      on how many rows were asked for. They are byte-reproducible for a
+      given numpy version only (``standard_normal`` is outside numpy's
+      raw-bit-stream guarantee).
     * ``uniforms`` are random-access: Philox keyed by (seed, word), counter
       0; the raw 64-bit word at flat offset particle·width + axis maps to
       (0, 1) via ((raw >> 11) + 0.5)·2⁻⁵³.
@@ -119,7 +119,10 @@ class NoiseStream:
     PURPOSE_STEP2 = 3
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed) & _U64
+        seed = int(seed)
+        if not 0 <= seed <= _U64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+        self.seed = seed
         if not 0 <= stream < 256:
             raise ValueError("stream id must be in [0, 256)")
         self.stream = stream
@@ -185,29 +188,23 @@ class NoiseStream:
         u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
         return u.reshape(count, width)
 
-    def normals(
-        self, purpose, step, start_particle, count, width, out=None
-    ) -> np.ndarray:
-        """Standard normals, shape (count, width) (ziggurat, prefix-stable).
+    def normals(self, purpose, step, count, width, out=None) -> np.ndarray:
+        """Standard normals from particle 0, shape (count, width) (ziggurat).
 
-        With ``out`` (a C-contiguous float64 array of that shape) a draw
-        from particle 0 is written there and ``out`` is returned; the bytes
-        are the same.
+        With ``out`` (a C-contiguous float64 array of that shape) the draw
+        is written there and ``out`` is returned; the bytes are the same.
         """
-        gen = self._sfc64_at(purpose, step)
         if out is None:
-            return gen.standard_normal((start_particle + count, width))[start_particle:]
-        if start_particle or out.shape != (count, width):
-            raise ValueError(
-                f"out= takes a draw from particle 0 of shape {(count, width)}"
-            )
-        return gen.standard_normal(out=out)
+            out = np.empty((count, width))
+        elif out.shape != (count, width):
+            raise ValueError(f"out= must have shape {(count, width)}, got {out.shape}")
+        return self._sfc64_at(purpose, step).standard_normal(out=out)
 
     def increments(
-        self, step, start_particle, count, width, dt, purpose=PURPOSE_STEP, out=None
+        self, step, count, width, dt, purpose=PURPOSE_STEP, out=None
     ) -> np.ndarray:
         """Brownian increments √Δt·z for one Euler step (into ``out`` if given)."""
-        dw = self.normals(purpose, step, start_particle, count, width, out)
+        dw = self.normals(purpose, step, count, width, out)
         dw *= math.sqrt(dt)
         return dw
 
@@ -540,7 +537,7 @@ def euler_step(
     n = cloud.n if fv is None or isinstance(fv, dict) else cloud.n // len(fv)
     dw = shared_dw
     if dw is None:
-        dw = noise.increments(cloud.step, 0, n, model.noise_dim, cfg.dt)
+        dw = noise.increments(cloud.step, n, model.noise_dim, cfg.dt)
     if coefficients is None:
         if fv is None:
             fv = evaluate_functionals(model.functionals, cloud.x)
@@ -624,7 +621,10 @@ class _Recorder:
     """Accumulates checkpoint rows for one cloud."""
 
     def __init__(self, model, lyap, cfg, ev0):
-        from .lyapunov import envelope_M, envelope_Mplus  # local to avoid cycle
+        # imported here, not at module level, so that each recorder binds
+        # what mkvlab.lyapunov holds when it is built: the benchmark's
+        # tracer (bench/spans.py) replaces both there after import
+        from .lyapunov import envelope_M, envelope_Mplus
 
         self._envelope_M = envelope_M
         self._envelope_Mplus = envelope_Mplus
@@ -710,7 +710,7 @@ def _run_clouds(
     observe(block.split(r), fvs)
     for i in range(cfg.total_steps):
         for purpose, out in draws:
-            noise.increments(i, 0, n, model.noise_dim, cfg.dt, purpose, out=out)
+            noise.increments(i, n, model.noise_dim, cfg.dt, purpose, out=out)
         coefficients = evaluate_coefficients(
             model, block.t, block.x, fvs, cfg.cut_level, out=work.coefficients
         )

@@ -224,6 +224,25 @@ def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
         ("lions-check", SIM_CFG, ["--threads", "0"], "sim.threads: must be >= 1"),
         ("lyapunov-check", SIM_CFG + "sim.threads = 0\n", [], "sim.threads: must be >= 1"),
         ("wasserstein", SIM_CFG, ["--threads", "-1"], "sim.threads: must be >= 1"),
+        ("simulate", SIM_CFG, ["--seed", "-1"], "seed must be in [0, 2**64)"),
+        (
+            "simulate",
+            SIM_CFG.replace("sim.seed = 1", "sim.seed = 18446744073709551616"),
+            [],
+            "seed must be in [0, 2**64)",
+        ),
+        (
+            "lyapunov-check",
+            SIM_CFG + "lyapunov.probes = 0\n",
+            [],
+            "lyapunov.probes: must be >= 1",
+        ),
+        (
+            "lyapunov-check",
+            SIM_CFG + "lyapunov.t_samples = none\n",
+            [],
+            "lyapunov.t_samples: need at least one time sample",
+        ),
     ],
     ids=[
         "sim.threads",
@@ -232,6 +251,10 @@ def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
         "lions-check",
         "lyapunov-check",
         "wasserstein",
+        "--seed",
+        "sim.seed",
+        "lyapunov.probes",
+        "lyapunov.t_samples",
     ],
 )
 def test_unusable_run_settings_exit_with_code_2(
@@ -254,18 +277,13 @@ def test_scenario_parameters_parse_as_floats():
     assert rc.scenario_params == {"alpha": -0.25}
 
 
-def test_threads_resolution_order(monkeypatch):
+def test_threads_resolution_order(tmp_path):
     parser = build_parser()
-    monkeypatch.setenv("MKVLAB_THREADS", "6")
-    assert _resolve(parser.parse_args(["simulate"])).threads == 6
-    # an explicit flag beats the environment
-    assert _resolve(parser.parse_args(["simulate", "--threads", "2"])).threads == 2
-
-
-def test_unusable_threads_variable_is_a_config_error(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("MKVLAB_THREADS", "many")
-    assert main(["lions-check", "--out", str(tmp_path / "x")]) == 2
-    assert "MKVLAB_THREADS" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, SIM_CFG + "sim.threads = 6\n")
+    assert _resolve(parser.parse_args(["simulate", "--config", cfg])).threads == 6
+    # an explicit flag beats the config
+    args = parser.parse_args(["simulate", "--config", cfg, "--threads", "2"])
+    assert _resolve(args).threads == 2
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):

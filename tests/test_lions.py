@@ -334,9 +334,9 @@ def full_residual_rows_by_hand(lyap, model, cfg, init, init2=None):
             x_part = np.asarray(factor.x_part(t, cloud1.x, fv1), dtype=float)
             measure = measure + x_part * inner
         acc += cfg.dt * (local + measure)
-        dw1 = noise.increments(step, 0, n, model.noise_dim, cfg.dt)
+        dw1 = noise.increments(step, n, model.noise_dim, cfg.dt)
         dw2 = noise.increments(
-            step, 0, n, model.noise_dim, cfg.dt, NoiseStream.PURPOSE_STEP2
+            step, n, model.noise_dim, cfg.dt, NoiseStream.PURPOSE_STEP2
         )
         mart += np.einsum("nd,ndk,nk->n", dvdx, s1, dw1)
         cloud1 = euler_step(cloud1, model, cfg, noise, shared_dw=dw1)

@@ -170,19 +170,17 @@ def test_noise_blocks_are_position_independent():
     whole = ns.uniforms(0, 7, 0, 10, 3)
     parts = np.vstack([ns.uniforms(0, 7, 0, 4, 3), ns.uniforms(0, 7, 4, 6, 3)])
     assert np.array_equal(whole, parts)
-    # normals are prefix-stable: a later block equals the tail of a longer draw
-    whole = ns.normals(0, 7, 0, 10, 3)
-    parts = np.vstack([ns.normals(0, 7, 0, 4, 3), ns.normals(0, 7, 4, 6, 3)])
-    assert np.array_equal(whole, parts)
-    assert np.array_equal(whole[4:], ns.normals(0, 7, 4, 6, 3))
-    assert np.array_equal(whole[:4], ns.normals(0, 7, 0, 4, 3))
+    # normals are prefix-stable: a shorter draw is the head of a longer one
+    whole = ns.normals(0, 7, 10, 3)
+    for k in (0, 4, 9):
+        assert np.array_equal(whole[:k], ns.normals(0, 7, k, 3))
 
 
 def test_normals_are_standard_gaussian():
     # 1e5 draws at a fixed key; bounds: five standard errors for the mean
     # and the variance, and the 1% critical value of the KS statistic
     n = 100_000
-    z = NoiseStream(2024).normals(NoiseStream.PURPOSE_STEP, 0, 0, n, 1)[:, 0]
+    z = NoiseStream(2024).normals(NoiseStream.PURPOSE_STEP, 0, n, 1)[:, 0]
     assert abs(float(np.mean(z))) < 5.0 / math.sqrt(n)
     assert abs(float(np.var(z)) - 1.0) < 5.0 * math.sqrt(2.0 / n)
     assert stats.kstest(z, "norm").statistic < 1.63 / math.sqrt(n)
@@ -192,7 +190,10 @@ def test_noise_coordinates_separate_draws():
     for kind in ("uniforms", "normals"):
 
         def draw(seed, stream, purpose, step):
-            return getattr(NoiseStream(seed, stream), kind)(purpose, step, 0, 8, 1)
+            ns = NoiseStream(seed, stream)
+            if kind == "uniforms":
+                return ns.uniforms(purpose, step, 0, 8, 1)
+            return ns.normals(purpose, step, 8, 1)
 
         by_purpose = [draw(5, 0, p, 0) for p in (0, 1)]
         assert not np.array_equal(*by_purpose), kind
@@ -240,26 +241,26 @@ def test_noise_draws_never_depend_on_earlier_calls():
         return NoiseStream(21, 4)
 
     used = fresh()
-    used.normals(0, 9, 0, 1001, 1)
-    assert np.array_equal(used.normals(0, 7, 0, 50, 2), fresh().normals(0, 7, 0, 50, 2))
+    used.normals(0, 9, 1001, 1)
+    assert np.array_equal(used.normals(0, 7, 50, 2), fresh().normals(0, 7, 50, 2))
     used.uniforms(1, 2, 3, 7, 1)
-    assert np.array_equal(used.normals(0, 7, 13, 20, 2), fresh().normals(0, 7, 13, 20, 2))
-    used.increments(5, 0, 3, 1, 0.1)
+    assert np.array_equal(used.normals(0, 7, 33, 2), fresh().normals(0, 7, 33, 2))
+    used.increments(5, 3, 1, 0.1)
     assert np.array_equal(used.uniforms(1, 7, 0, 9, 3), fresh().uniforms(1, 7, 0, 9, 3))
-    used.normals(2, 1, 0, 3, 1)
+    used.normals(2, 1, 3, 1)
     assert np.array_equal(used.uniforms(1, 7, 5, 9, 3), fresh().uniforms(1, 7, 5, 9, 3))
     # normals draw on SFC64 seeded from the key (seed, stream|purpose|step);
     # the reference mix64 is splitmix64's, whose first output from seed 0 is
     # mix64(φ)
     assert mix64(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
     ref = sfc64_at_key(21, (4 << 56) | (0 << 48) | 7).standard_normal((50, 2))
-    assert used.normals(0, 7, 0, 50, 2).tobytes() == ref.tobytes()
+    assert used.normals(0, 7, 50, 2).tobytes() == ref.tobytes()
 
 
 def test_brownian_increments_scale_with_the_step():
     ns = NoiseStream(9)
-    z = ns.normals(NoiseStream.PURPOSE_STEP, 4, 0, 5, 1)
-    dw = ns.increments(4, 0, 5, 1, 0.25)
+    z = ns.normals(NoiseStream.PURPOSE_STEP, 4, 5, 1)
+    dw = ns.increments(4, 5, 1, 0.25)
     assert np.array_equal(dw, 0.5 * z)
 
 
@@ -316,24 +317,23 @@ def test_increments_into_a_buffer_equal_the_allocating_draw(
     seed, stream, purpose, step, n, width, dt
 ):
     ns = NoiseStream(seed, stream)
-    want = ns.increments(step, 0, n, width, dt, purpose)
+    want = ns.increments(step, n, width, dt, purpose)
     buf = np.full((n, width), np.nan)
-    got = ns.increments(step, 0, n, width, dt, purpose, out=buf)
+    got = ns.increments(step, n, width, dt, purpose, out=buf)
     assert got is buf
     assert got.tobytes() == want.tobytes()
-    for start, shape in ((0, (n + 1, width)), (1, (n, width))):
-        with pytest.raises(ValueError, match="particle 0"):
-            ns.increments(step, start, n, width, dt, purpose, out=np.empty(shape))
+    for shape in ((n + 1, width), (n, width + 1)):
+        with pytest.raises(ValueError, match="shape"):
+            ns.increments(step, n, width, dt, purpose, out=np.empty(shape))
 
 
 @settings(max_examples=60, deadline=None)
 @given(**noise_keys, n=st.integers(1, 400), width=st.integers(1, 4), data=st.data())
 def test_normals_are_prefix_stable(seed, stream, purpose, step, n, width, data):
     ns = NoiseStream(seed, stream)
-    whole = ns.normals(purpose, step, 0, n, width)
+    whole = ns.normals(purpose, step, n, width)
     k = data.draw(st.integers(0, n), label="k")
-    assert ns.normals(purpose, step, 0, k, width).tobytes() == whole[:k].tobytes()
-    assert ns.normals(purpose, step, k, n - k, width).tobytes() == whole[k:].tobytes()
+    assert ns.normals(purpose, step, k, width).tobytes() == whole[:k].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -354,6 +354,9 @@ def test_uniforms_are_random_access_over_any_split(
 
 
 def test_noise_key_ranges_are_enforced():
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            NoiseStream(seed)
     with pytest.raises(ValueError):
         NoiseStream(0, 256)
     with pytest.raises(ValueError):
@@ -361,9 +364,9 @@ def test_noise_key_ranges_are_enforced():
     with pytest.raises(ValueError):
         NoiseStream(0)._raw(0, -1, 0, 1)
     with pytest.raises(ValueError):
-        NoiseStream(0).normals(256, 0, 0, 1, 1)
+        NoiseStream(0).normals(256, 0, 1, 1)
     with pytest.raises(ValueError):
-        NoiseStream(0).increments(1 << 48, 0, 1, 1, 0.1)
+        NoiseStream(0).increments(1 << 48, 1, 1, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +707,7 @@ def hand_states(model, cfg, clouds, purposes=SHARED):
         if i in marks:
             states.append([cloud_state(c) for c in clouds])
         dws = [
-            noise.increments(i, 0, clouds[0].n, model.noise_dim, cfg.dt, p)
+            noise.increments(i, clouds[0].n, model.noise_dim, cfg.dt, p)
             for p in own[1:]
         ]
         clouds = [euler_step(clouds[0], model, cfg, noise)] + [
