@@ -272,19 +272,22 @@ class OccupationMeasure:
 
 
 def _pool(snapshots, horizon: float) -> OccupationMeasure:
-    kept = [(t, x) for t, x in snapshots if 0.0 < t <= horizon + 1e-12]
+    kept = [x for t, x in snapshots if 0.0 < t <= horizon + 1e-12]
     if not kept:
         raise ValueError(f"no snapshots in (0, {horizon:g}]")
-    n = kept[0][1].shape[0]
+    n = kept[0].shape[0]
     per = max(1, min(n, POOL_CAP // len(kept)))
     stride = -(-n // per)  # ceil
-    idx = np.arange(0, n, stride)
-    block = np.concatenate([x[idx] for _, x in kept], axis=0)
+    m = len(range(0, n, stride))
+    # each snapshot's rows 0, stride, 2·stride, ... written straight into place
+    block = np.empty((len(kept) * m,) + kept[0].shape[1:], dtype=kept[0].dtype)
+    for j, x in enumerate(kept):
+        block[j * m : (j + 1) * m] = x[::stride]
     return OccupationMeasure(
         samples=block,
         horizon=horizon,
         checkpoints_kept=len(kept),
-        particles_kept=len(idx),
+        particles_kept=m,
     )
 
 
@@ -292,6 +295,8 @@ def _common_subsample(a: np.ndarray, b: np.ndarray):
     m = min(a.shape[0], b.shape[0])
 
     def pick(x):
+        if x.shape[0] == m:
+            return x
         idx = (np.arange(m) * x.shape[0]) // m
         return x[idx]
 
@@ -340,6 +345,7 @@ def stationary_estimate(
         run_cfg = replace(run_cfg, checkpoints=tuple(marks))
     series = simulate(model, lyap, run_cfg, init, keep_snapshots=True)
     occupations = [_pool(series.snapshots, t) for t in horizons]
+    series.snapshots.clear()  # the pools hold every sample still needed
     columns = ["horizon"] + list(model.functional_keys()) + ["w1_prev"]
     rows = []
     for j, occ in enumerate(occupations):

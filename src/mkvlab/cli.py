@@ -115,7 +115,7 @@ class RunConfig:
     wasserstein_p: float = 1.0
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(
+        cfg = SimConfig(
             n_particles=self.n_particles,
             horizon=self.horizon,
             steps_per_unit=self.steps_per_unit,
@@ -125,6 +125,18 @@ class RunConfig:
             checkpoints=self.checkpoints,
             stream=self.stream,
         )
+        # SimConfig snaps checkpoints to the nearest step; a config must
+        # name grid times, as it must for the horizon (t = 0 exactly)
+        for t in self.checkpoints or ():
+            steps = t * self.steps_per_unit
+            k = round(steps) if math.isfinite(steps) else 0
+            if abs(steps - k) > 1e-9 * abs(k):
+                raise ConfigError(
+                    f"checkpoint {t!r} is off the grid of step "
+                    f"1/{self.steps_per_unit}: t·n = {steps!r} is not an integer",
+                    key="sim.checkpoints",
+                )
+        return cfg
 
     def scenario(self) -> Scenario:
         return builtin_scenario(self.scenario_name, **self.scenario_params)
@@ -490,11 +502,17 @@ def cmd_lions_check(rc: RunConfig) -> int:
 
 def cmd_lyapunov_check(rc: RunConfig) -> int:
     # with no probe cloud or no time sample there is nothing to check, and
-    # an empty report would pass
+    # an empty report would pass; a time outside [0, ∞) is no time of the run
     if rc.probes < 1:
         raise ConfigError(f"must be >= 1, got {rc.probes}", key="lyapunov.probes")
     if not rc.t_samples:
         raise ConfigError("need at least one time sample", key="lyapunov.t_samples")
+    bad = [t for t in rc.t_samples if not 0.0 <= t < math.inf]
+    if bad:
+        raise ConfigError(
+            f"time samples must lie in [0, inf), got {bad[0]!r}",
+            key="lyapunov.t_samples",
+        )
     scenario = rc.scenario()
     if scenario.lyap is None:
         raise ConfigError(

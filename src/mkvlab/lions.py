@@ -336,17 +336,25 @@ def ito_residual_measure(
     fvs = [evaluate_functionals(model.functionals, block.x)]
     u0, acc, mart_var = u(block.x), 0.0, 0.0
     rows = [[0.0, 0.0, 0.0]]
+    # the hook's own arrays, written in place every step. Allocated and
+    # freed per step, several N-sized arrays below glibc's mmap threshold
+    # made it trim the top of the heap and fault it in again every step.
+    drift, trace = np.empty(block.n), np.empty(block.n)
+    sg = np.empty((block.n, model.noise_dim))
 
     def before_step(clouds, fvs, coefficients, dw):
         nonlocal acc, mart_var
         x, (b, s) = clouds[0].x, coefficients
         g = u.d_mu(x, x)
         hess = u.dy_d_mu(x, x)
-        drift = np.einsum("nd,nd->n", b, g)
-        trace = np.einsum("nik,njk,nij->n", s, s, hess)
-        acc += cfg.dt * float(tree_mean(drift + 0.5 * trace))
-        sg = np.einsum("nd,ndk->nk", g, s)
-        mart_var += cfg.dt * float(tree_mean(np.einsum("nk,nk->n", sg, sg))) / len(x)
+        np.einsum("nd,nd->n", b, g, out=drift)
+        np.einsum("nik,njk,nij->n", s, s, hess, out=trace)
+        np.multiply(trace, 0.5, out=trace)
+        np.add(drift, trace, out=drift)
+        acc += cfg.dt * float(tree_mean(drift))
+        np.einsum("nd,ndk->nk", g, s, out=sg)
+        np.einsum("nk,nk->n", sg, sg, out=trace)
+        mart_var += cfg.dt * float(tree_mean(trace)) / len(x)
 
     def observe(clouds, fvs):
         cloud = clouds[0]

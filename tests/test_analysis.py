@@ -1,10 +1,12 @@
 """Stability envelopes, replica agreement, and long-run time averages."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mkvlab.analysis as analysis
 from mkvlab.analysis import (
     OccupationMeasure,
     StabilityReport,
@@ -245,6 +247,58 @@ def test_growing_envelopes_trigger_a_warning():
         stationary_estimate(
             sc.model, cfg, horizons=(1.0, 2.0), init=PointMass(1.0), lyap=sc.lyap
         )
+
+
+@pytest.mark.parametrize("cap", [None, 1000], ids=["stride-1", "strided"])
+def test_pooling_writes_the_strided_rows_of_every_kept_snapshot(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(analysis, "POOL_CAP", cap)
+    rng = np.random.default_rng(5)
+    n = 333
+    snapshots = [(0.1 * j, rng.standard_normal((n, 1))) for j in range(21)]
+    occ = analysis._pool(snapshots, 1.5)
+    kept = [x for t, x in snapshots if 0.0 < t <= 1.5 + 1e-12]
+    per = max(1, min(n, analysis.POOL_CAP // len(kept)))
+    idx = np.arange(0, n, -(-n // per))
+    assert (len(idx) == n) == (cap is None)
+    want = np.concatenate([x[idx] for x in kept], axis=0)
+    assert occ.samples.tobytes() == want.tobytes()
+    assert occ.samples.shape == want.shape
+    assert (occ.checkpoints_kept, occ.particles_kept) == (len(kept), len(idx))
+
+
+def test_stationary_post_processing_copies_no_snapshot(monkeypatch):
+    # Once the run is over, the snapshots and the pools built from them are
+    # the only large arrays that must exist together; then W₁ holds the
+    # sorted pair of two pools and one difference buffer, at most 3× the
+    # largest pool. So the traced peak of the whole call is at most
+    #   snapshot bytes + pool bytes + 3 × largest pool bytes + 1 MB.
+    # Pooling by fancy-index copies and concatenation, with fresh index
+    # arrays for the common subsample, read 64 MB against this 47 MB bound.
+    sc = builtin_scenario("example1-quartic")
+    cfg = SimConfig(n_particles=8000, horizon=1.0, steps_per_unit=100, cut_level=2, seed=0)
+    snapshot_bytes = []
+    run = analysis.simulate
+
+    def traced_run(*args, **kwargs):
+        series = run(*args, **kwargs)
+        snapshot_bytes.append(sum(x.nbytes for _, x in series.snapshots))
+        return series
+
+    monkeypatch.setattr(analysis, "simulate", traced_run)
+    tracemalloc.start()
+    try:
+        occupations, _ = stationary_estimate(
+            sc.model, cfg, (0.5, 1.0, 2.0), sc.default_init, lyap=sc.lyap
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pools = [occ.samples.nbytes for occ in occupations]
+    # the last horizon pools strided rows: 200 snapshots × 4000 particles
+    assert occupations[-1].particles_kept < cfg.n_particles
+    bound = snapshot_bytes[0] + sum(pools) + 3 * max(pools) + 2**20
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
 def test_stationary_estimate_validation():

@@ -243,6 +243,36 @@ def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
             [],
             "lyapunov.t_samples: need at least one time sample",
         ),
+        (
+            "lyapunov-check",
+            SIM_CFG + "lyapunov.t_samples = 0.0 -1\n",
+            [],
+            "lyapunov.t_samples: time samples must lie in [0, inf), got -1.0",
+        ),
+        (
+            "lyapunov-check",
+            SIM_CFG + "lyapunov.t_samples = inf\n",
+            [],
+            "lyapunov.t_samples: time samples must lie in [0, inf), got inf",
+        ),
+        (
+            "lyapunov-check",
+            SIM_CFG + "lyapunov.t_samples = nan\n",
+            [],
+            "lyapunov.t_samples: nan is not a usable value",
+        ),
+        (
+            "simulate",
+            SIM_CFG + "sim.checkpoints = 0.013\n",
+            [],
+            "sim.checkpoints: checkpoint 0.013 is off the grid",
+        ),
+        (
+            "stationary",
+            SIM_CFG + "sim.checkpoints = 0.0 1e-12\n",
+            [],
+            "sim.checkpoints: checkpoint 1e-12 is off the grid",
+        ),
     ],
     ids=[
         "sim.threads",
@@ -255,6 +285,11 @@ def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
         "sim.seed",
         "lyapunov.probes",
         "lyapunov.t_samples",
+        "t_samples=-1",
+        "t_samples=inf",
+        "t_samples=nan",
+        "off-grid-checkpoint",
+        "checkpoint-near-zero",
     ],
 )
 def test_unusable_run_settings_exit_with_code_2(

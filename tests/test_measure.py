@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from mkvlab.measure import (
     wasserstein_p_1d,
 )
 from mkvlab.model import MeasureFunctionalTag
-from mkvlab.parallel import tree_sum
+from mkvlab.parallel import tree_mean, tree_sum
 
 
 def cloud(*values):
@@ -269,6 +273,17 @@ def test_w_order_below_one_rejected():
         wasserstein_p_1d(cloud(0, 1), cloud(1, 2), 0.5)
 
 
+@pytest.mark.parametrize("p", [1, 1.0, 1.5, 2, 2.0, 3, 3.0])
+def test_w_p_equals_the_allocating_formula_bit_for_bit(p):
+    # |sorted a − sorted b|**p is formed in place in one buffer
+    rng = np.random.Generator(np.random.Philox(24))
+    a = rng.normal(size=(3000, 1))
+    b = rng.normal(1.0, 2.0, size=(3000, 1))
+    sa, sb = np.sort(a[:, 0]), np.sort(b[:, 0])
+    want = float(tree_mean(np.abs(sa - sb) ** p)) ** (1 / p)
+    assert wasserstein_p_1d(a, b, p).hex() == want.hex()
+
+
 # ---------------------------------------------------------------------------
 # transport distances, exact small-cloud solver
 # ---------------------------------------------------------------------------
@@ -311,6 +326,24 @@ def test_exact_sees_through_permutations():
     a = rng.normal(size=(7, 2))
     b = a[rng.permutation(7)]
     assert wasserstein_exact(a, b, 2.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_scipy_loads_on_the_first_exact_assignment_only():
+    code = (
+        "import sys, mkvlab, mkvlab.cli\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
+        "from mkvlab.measure import wasserstein_exact\n"
+        "print(wasserstein_exact([0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.5], 1.0))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    # the optimal assignment moves only 0 ↔ 0.5
+    assert float(run.stdout) == 0.125
 
 
 def test_exact_solver_refuses_large_clouds():
