@@ -38,6 +38,7 @@ from .simulate import (
     InitialLaw,
     SimConfig,
     coupled_simulate,
+    grid_steps,
     simulate,
 )
 
@@ -59,28 +60,9 @@ POOL_CAP = 10**6
 # ---------------------------------------------------------------------------
 
 
-def _negated(rate: Rate) -> Rate:
-    if rate.kind == "constant":
-        out = Rate.constant(-rate.c0)
-    elif rate.kind == "affine":
-        out = Rate.affine(-rate.c0, -rate.c1)
-    else:
-        fn = rate.fn
-        out = Rate.of(lambda s, _f=fn: -_f(s))
-    return out.pos() if rate.rectified else out
-
-
 def _abs_integral(rate: Rate, t: float) -> float:
-    # |r| = r⁺ + (−r)⁺, keeping the exact closed forms for affine cores
-    return rate.pos().integral(0.0, t) + _negated(rate).pos().integral(0.0, t)
-
-
-def _rate_label(rate: Rate) -> str:
-    if rate.kind == "constant":
-        return repr(float(rate.c0))
-    if rate.kind == "affine":
-        return f"{rate.c0!r}+{rate.c1!r}*t"
-    return "callable"
+    # |r| = 2r⁺ − r, keeping the exact closed forms for affine cores
+    return 2.0 * rate.pos().integral(0.0, t) - rate.integral(0.0, t)
 
 
 @dataclass(frozen=True)
@@ -128,21 +110,6 @@ class StabilityReport:
                 fh.write(
                     ",".join(repr(float(v)) for v in (t, m, b, w, g)) + "\n"
                 )
-
-    def summary_lines(self) -> list:
-        lines = [f"{k} = {v}" for k, v in sorted(self.meta.items())]
-        lines += [
-            f"mode = {self.mode}",
-            f"h = {_rate_label(self.h)}",
-            f"tolerance = {repr(float(self.tolerance))}",
-            f"margin = {repr(self.margin)}",
-            f"passed = {self.passed()}",
-            f"final.measured = {repr(float(self.measured[-1]))}",
-            f"final.bound = {repr(float(self.bound[-1]))}",
-        ]
-        if self.g is not None:
-            lines.insert(len(lines) - 6, f"g = {_rate_label(self.g)}")
-        return lines
 
 
 def stability_experiment(
@@ -315,7 +282,8 @@ def stationary_estimate(
     One run to the largest horizon supplies every occupation measure (the
     restriction of a longer run to an earlier window is bit-identical to
     the shorter run). Checkpoints default to a uniform grid fine enough to
-    give the shortest horizon 50 in-window snapshots. Returns
+    give the shortest horizon 50 in-window snapshots; that spacing must be
+    a whole number of steps, else ValueError. Returns
     (occupations, diagnostics) where the diagnostics rows carry, per
     horizon, the declared functionals of the pooled samples and the W₁ gap
     to the previous horizon's occupation measure (nan for the first).
@@ -341,6 +309,13 @@ def stationary_estimate(
     run_cfg = replace(cfg, horizon=t_max)
     if cfg.checkpoints is None:
         spacing = horizons[0] / 50.0
+        steps = grid_steps(spacing, cfg.steps_per_unit)
+        if steps is None or steps < 1:
+            raise ValueError(
+                f"the default checkpoint spacing {spacing!r} (shortest "
+                f"horizon / 50) is not a whole number >= 1 of steps of "
+                f"1/{cfg.steps_per_unit}"
+            )
         marks = np.arange(0.0, t_max + spacing / 2, spacing)
         run_cfg = replace(run_cfg, checkpoints=tuple(marks))
     series = simulate(model, lyap, run_cfg, init, keep_snapshots=True)

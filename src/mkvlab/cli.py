@@ -42,6 +42,7 @@ from .simulate import (
     PointMass,
     SimConfig,
     UniformBox,
+    grid_steps,
     simulate,
 )
 
@@ -128,12 +129,11 @@ class RunConfig:
         # SimConfig snaps checkpoints to the nearest step; a config must
         # name grid times, as it must for the horizon (t = 0 exactly)
         for t in self.checkpoints or ():
-            steps = t * self.steps_per_unit
-            k = round(steps) if math.isfinite(steps) else 0
-            if abs(steps - k) > 1e-9 * abs(k):
+            if grid_steps(t, self.steps_per_unit) is None:
                 raise ConfigError(
                     f"checkpoint {t!r} is off the grid of step "
-                    f"1/{self.steps_per_unit}: t·n = {steps!r} is not an integer",
+                    f"1/{self.steps_per_unit}: t·n = "
+                    f"{t * self.steps_per_unit!r} is not an integer",
                     key="sim.checkpoints",
                 )
         return cfg
@@ -357,14 +357,15 @@ def _finite(series) -> bool:
 def _probe_clouds(model: ModelSpec, count: int, atoms: int, scale: float, seed: int):
     """Random probe clouds inside the model's domain.
 
-    Full-space models get centred normal clouds; the positive orthant gets
-    lognormal ones so every probe is strictly inside the domain.
+    Whole-space models get centred normal clouds; any other domain (of the
+    built-ins, only the positive axis) gets lognormal ones, strictly inside
+    (0, ∞).
     """
     rng = np.random.Generator(np.random.Philox(seed))
     clouds = []
     for _ in range(count):
         z = rng.standard_normal((atoms, model.dim))
-        if model.ladder.kind == "positive-orthant":
+        if not model.ladder.whole_space:
             clouds.append(np.exp(0.5 * z))
         else:
             clouds.append(scale * z)

@@ -207,12 +207,15 @@ class LyapunovSpec:
     floor_V: Callable[[float, np.ndarray], np.ndarray]
     boundary_infimum: Callable[[int], float]
     measure_factors: tuple[MeasureKernelFactor, ...] = ()
-    floor_degenerate: bool = False
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in ("pointwise", "integrated"):
             raise ValueError(f"unknown Lyapunov mode {self.mode!r}")
+
+    def mean_v(self, t: float, x: np.ndarray, fv: dict) -> float:
+        """∫v dμ̂: the mean of v(t, ·) over the cloud ``x``."""
+        return float(tree_mean(np.asarray(self.v(t, x, fv), dtype=float)))
 
 
 def _as_cloud(x) -> np.ndarray:
@@ -377,14 +380,18 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _label_probes(probes) -> list:
-    out = []
+def _sweep(model, t_samples, probes):
+    """(label, cloud, fv, t) per probe and time sample, labelled
+    ``<name>@t=<t>``; a probe is a cloud, named ``cloud<j>`` after its
+    position, or a (name, cloud) pair."""
     for j, p in enumerate(probes):
         if isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str):
-            out.append((p[0], _as_cloud(p[1])))
+            name, cloud = p[0], _as_cloud(p[1])
         else:
-            out.append((f"cloud{j:02d}", _as_cloud(p)))
-    return out
+            name, cloud = f"cloud{j:02d}", _as_cloud(p)
+        fv = evaluate_functionals(model.functionals, cloud)
+        for t in np.atleast_1d(np.asarray(t_samples, dtype=float)).tolist():
+            yield f"{name}@t={t:g}", cloud, fv, t
 
 
 def check_lyapunov_condition(
@@ -397,36 +404,25 @@ def check_lyapunov_condition(
     tolerance are findings recorded in the report, never exceptions.
     """
     rows = []
-    for name, cloud in _label_probes(probes):
-        fv = evaluate_functionals(model.functionals, cloud)
-        for t in np.atleast_1d(np.asarray(t_samples, dtype=float)):
-            t = float(t)
+    for label, cloud, fv, t in _sweep(model, t_samples, probes):
+        gvals = generator_values(model, lyap, t, cloud, cloud, fv)
+        if lyap.mode == "integrated":
+            rhs = lyap.m1(t) * lyap.mean_v(t, cloud, fv) + lyap.m2(t)
+            rows.append(CheckRow(label, float(tree_mean(gvals)), rhs))
+        else:
             vvals = np.asarray(lyap.v(t, cloud, fv), dtype=float)
-            if lyap.mode == "integrated":
-                lhs = integrated_generator(model, lyap, t, cloud, fv)
-                rhs = lyap.m1(t) * float(tree_mean(vvals)) + lyap.m2(t)
-                rows.append(CheckRow(f"{name}@t={t:g}", lhs, rhs))
-            else:
-                gvals = generator_values(model, lyap, t, cloud, cloud, fv)
-                bound = lyap.m1(t) * vvals + lyap.m2(t)
-                i = int(np.argmin(bound - gvals))
-                rows.append(
-                    CheckRow(f"{name}@t={t:g}#p{i}", float(gvals[i]), float(bound[i]))
-                )
-    mode = "pointwise" if lyap.mode == "pointwise" else "integrated"
-    return CheckReport(f"{mode} drift inequality [{lyap.name}]", rows, tolerance)
+            bound = lyap.m1(t) * vvals + lyap.m2(t)
+            i = int(np.argmin(bound - gvals))
+            rows.append(CheckRow(f"{label}#p{i}", float(gvals[i]), float(bound[i])))
+    return CheckReport(f"{lyap.mode} drift inequality [{lyap.name}]", rows, tolerance)
 
 
 def check_floor(model, lyap, t_samples, probes, tolerance: float = 1e-9) -> CheckReport:
     """Check the floor inequality ∫V dμ̂ ≤ ∫v dμ̂ on probe clouds."""
     rows = []
-    for name, cloud in _label_probes(probes):
-        fv = evaluate_functionals(model.functionals, cloud)
-        for t in np.atleast_1d(np.asarray(t_samples, dtype=float)):
-            t = float(t)
-            lhs = float(tree_mean(np.asarray(lyap.floor_V(t, cloud), dtype=float)))
-            rhs = float(tree_mean(np.asarray(lyap.v(t, cloud, fv), dtype=float)))
-            rows.append(CheckRow(f"{name}@t={t:g}", lhs, rhs))
+    for label, cloud, fv, t in _sweep(model, t_samples, probes):
+        lhs = float(tree_mean(np.asarray(lyap.floor_V(t, cloud), dtype=float)))
+        rows.append(CheckRow(label, lhs, lyap.mean_v(t, cloud, fv)))
     return CheckReport(f"floor inequality [{lyap.name}]", rows, tolerance)
 
 
@@ -446,28 +442,23 @@ def check_local_bound(
     of the probe cloud.
     """
     rows = []
-    for name, cloud in _label_probes(probes):
-        fv = evaluate_functionals(model.functionals, cloud)
-        for t in np.atleast_1d(np.asarray(t_samples, dtype=float)):
-            t = float(t)
-            v_int = float(
-                tree_mean(np.asarray(lyap.v(t, cloud, fv), dtype=float))
+    for label, cloud, fv, t in _sweep(model, t_samples, probes):
+        v_int = lyap.mean_v(t, cloud, fv)
+        for k in levels:
+            lo, hi = model.ladder.box(k)
+            pts = [cloud[model.ladder.contains(cloud, k)]]
+            if model.dim == 1 and np.isfinite(lo[0]) and np.isfinite(hi[0]):
+                pts.append(np.linspace(lo[0], hi[0], grid_points)[:, None])
+            xs = np.concatenate([p for p in pts if p.size], axis=0)
+            if not xs.size:
+                continue
+            b, s = evaluate_coefficients(model, t, xs, fv)
+            lhs = max(
+                float(np.linalg.norm(b, axis=1).max()),
+                float(np.sqrt((s**2).sum(axis=(1, 2))).max()),
             )
-            for k in levels:
-                lo, hi = model.ladder.box(k)
-                pts = [cloud[model.ladder.contains(cloud, k)]]
-                if model.dim == 1 and np.isfinite(lo[0]) and np.isfinite(hi[0]):
-                    pts.append(np.linspace(lo[0], hi[0], grid_points)[:, None])
-                xs = np.concatenate([p for p in pts if p.size], axis=0)
-                if not xs.size:
-                    continue
-                b, s = evaluate_coefficients(model, t, xs, fv)
-                lhs = max(
-                    float(np.linalg.norm(b, axis=1).max()),
-                    float(np.sqrt((s**2).sum(axis=(1, 2))).max()),
-                )
-                rhs = model.local_bound(k) * (1.0 + v_int)
-                rows.append(CheckRow(f"{name}@t={t:g}/k={k}", lhs, rhs))
+            rhs = model.local_bound(k) * (1.0 + v_int)
+            rows.append(CheckRow(f"{label}/k={k}", lhs, rhs))
     return CheckReport(f"local coefficient bound [{model.name}]", rows, tolerance)
 
 
@@ -479,24 +470,12 @@ def fit_growth_constant(model, lyap, t_samples, probes):
     check is that the ratio stays bounded across probes, i.e. the inequality
     has the right shape.
     """
-    ratios = []
     pairs = []
-    for name, cloud in _label_probes(probes):
-        fv = evaluate_functionals(model.functionals, cloud)
-        for t in np.atleast_1d(np.asarray(t_samples, dtype=float)):
-            t = float(t)
-            b, s = evaluate_coefficients(model, t, cloud, fv)
-            lhs = float(
-                tree_mean(
-                    np.linalg.norm(b, axis=1) + (s**2).sum(axis=(1, 2))
-                )
-            )
-            denom = 1.0 + float(
-                tree_mean(np.asarray(lyap.v(t, cloud, fv), dtype=float))
-            )
-            ratios.append(lhs / denom)
-            pairs.append((f"{name}@t={t:g}", lhs, denom))
-    c = max(ratios) if ratios else 0.0
+    for label, cloud, fv, t in _sweep(model, t_samples, probes):
+        b, s = evaluate_coefficients(model, t, cloud, fv)
+        lhs = float(tree_mean(np.linalg.norm(b, axis=1) + (s**2).sum(axis=(1, 2))))
+        pairs.append((label, lhs, 1.0 + lyap.mean_v(t, cloud, fv)))
+    c = max((lhs / denom for _, lhs, denom in pairs), default=0.0)
     rows = [CheckRow(p, lhs, c * denom) for p, lhs, denom in pairs]
     report = CheckReport(
         f"integrated growth (fitted c={c:.6g}) [{model.name}]", rows, 1e-12

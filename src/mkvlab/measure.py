@@ -195,7 +195,7 @@ def evaluate_functionals(
     for tag in tags:
         if tag.kind == "raw-moment":
             fv[tag.key] = moment(mu, tag.p)
-        elif tag.kind in ("mean", "linear-combination"):
+        elif tag.kind == "mean":
             fv[tag.key] = float(tree_mean(mu.scalar()))
         elif tag.kind == "clipped-mean":
             fv[tag.key] = float(tree_mean(np.clip(mu.scalar(), tag.lo, tag.hi)))

@@ -48,9 +48,6 @@ def ladder_level(k) -> int:
     return int(k)
 
 
-_REGION_KINDS = ("full-space", "open-box", "positive-orthant")
-
-
 @dataclass(frozen=True)
 class DomainLadder:
     """An open box D with a nested ladder k ↦ D_k of closed boxes.
@@ -62,15 +59,12 @@ class DomainLadder:
     """
 
     dim: int
-    kind: str
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     rule: Callable[[int], tuple[np.ndarray, np.ndarray]]
     _boxes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _REGION_KINDS:
-            raise ValueError(f"unknown region kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dimension must be positive")
         if len(self.lower) != self.dim or len(self.upper) != self.dim:
@@ -90,7 +84,6 @@ class DomainLadder:
 
         return DomainLadder(
             dim=dim,
-            kind="full-space",
             lower=(-np.inf,) * dim,
             upper=(np.inf,) * dim,
             rule=rule,
@@ -105,7 +98,6 @@ class DomainLadder:
 
         return DomainLadder(
             dim=1,
-            kind="positive-orthant",
             lower=(0.0,),
             upper=(np.inf,),
             rule=rule,
@@ -162,7 +154,6 @@ class DomainLadder:
 _FUNCTIONAL_KINDS = (
     "raw-moment",
     "mean",
-    "linear-combination",
     "clipped-mean",
     "quantile",
     "expected-shortfall",
@@ -173,12 +164,10 @@ _FUNCTIONAL_KINDS = (
 class MeasureFunctionalTag:
     """A declared functional of the empirical law.
 
-    kinds: ``raw-moment`` (order p), ``mean``, ``linear-combination``
-    (the x-dependent form ∫(x − αy)μ(dy), which the engine evaluates as the
-    state-free part ``mean`` — the α and the local x-term live in the
-    coefficients), ``clipped-mean`` (∫ clip(y, lo, hi) μ(dy), the saturated
-    interaction of the Scheutzow-style scenario), ``quantile`` (level α)
-    and ``expected-shortfall`` (level α).
+    kinds: ``raw-moment`` (order p), ``mean``, ``clipped-mean``
+    (∫ clip(y, lo, hi) μ(dy), the saturated interaction of the
+    Scheutzow-style scenario), ``quantile`` (level α) and
+    ``expected-shortfall`` (level α).
     """
 
     kind: str
@@ -204,7 +193,7 @@ class MeasureFunctionalTag:
         """Name under which the value appears in fv dicts and CSV columns."""
         if self.kind == "raw-moment":
             return f"m{self.p:g}"
-        if self.kind in ("mean", "linear-combination"):
+        if self.kind == "mean":
             return "mean"
         if self.kind == "clipped-mean":
             return "cmean"

@@ -100,7 +100,7 @@ def _example2(alpha: float = -0.5, sigma: float = 0.5) -> Scenario:
         noise_dim=1,
         drift=lambda t, x, fv: (-u(x, fv) ** 3)[:, None],
         diffusion=lambda t, x, fv: (sigma * u(x, fv) ** 2)[:, None, None],
-        functionals=(MeasureFunctionalTag("linear-combination", alpha=alpha),),
+        functionals=(MeasureFunctionalTag("mean"),),
         ladder=DomainLadder.full_space(1),
         # |mean| ≤ (∫v dμ)^{1/4}/(1−α) since ∫u⁴dμ ≥ (∫u dμ)⁴ = ((1−α)·mean)⁴,
         # and α < 1 − 1.5σ² < 1 whenever m > 0; then |u| ≤ k + q(∫v)^{1/4}
@@ -131,7 +131,6 @@ def _example2(alpha: float = -0.5, sigma: float = 0.5) -> Scenario:
                 y_hess=None,
             ),
         ),
-        floor_degenerate=floor_coef == 0.0,
         params={"alpha": alpha, "sigma": sigma, "m": m},
     )
     return Scenario(model, lyap, PointMass(1.0))

@@ -38,6 +38,7 @@ from .parallel import tree_mean
 
 __all__ = [
     "BlowUpError",
+    "grid_steps",
     "SimConfig",
     "InitialLaw",
     "PointMass",
@@ -214,6 +215,19 @@ class NoiseStream:
 # ---------------------------------------------------------------------------
 
 
+def grid_steps(t: float, n: int) -> int | None:
+    """The whole number of steps of size 1/n that the time ``t`` spans.
+
+    t·n must lie within 1e-9 relative of an integer (t = 0 exactly);
+    otherwise, or when t·n is not finite, the answer is None.
+    """
+    steps = t * n
+    if not math.isfinite(steps):
+        return None
+    k = round(steps)
+    return k if abs(steps - k) <= 1e-9 * abs(k) else None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run parameters for one particle-cloud simulation.
@@ -244,13 +258,12 @@ class SimConfig:
             raise ValueError("steps_per_unit must be >= 1")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        steps = self.horizon * self.steps_per_unit
-        k = round(steps) if math.isfinite(steps) else 0
-        if k < 1 or abs(steps - k) > 1e-9 * k:
+        k = grid_steps(self.horizon, self.steps_per_unit)
+        if k is None or k < 1:
             raise ValueError(
                 f"horizon {self.horizon!r} is off the grid of step "
-                f"1/{self.steps_per_unit}: horizon·n = {steps!r} is not an "
-                "integer >= 1"
+                f"1/{self.steps_per_unit}: horizon·n = "
+                f"{self.horizon * self.steps_per_unit!r} is not an integer >= 1"
             )
         cut = ladder_level(self.cut_level)
         if cut < 1:
@@ -588,10 +601,6 @@ class DiagnosticsSeries:
         j = self.columns.index(name)
         return np.array([row[j] for row in self.rows], dtype=float)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.column("t")
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.columns) + "\n")
@@ -640,11 +649,7 @@ class _Recorder:
     def record(self, cloud: ParticleCloud, fv: dict) -> None:
         row = [cloud.t] + [fv[k] for k in self.model.functional_keys()]
         if self.lyap is not None:
-            v_mean = float(
-                tree_mean(
-                    np.asarray(self.lyap.v(cloud.t, cloud.x, fv), dtype=float)
-                )
-            )
+            v_mean = self.lyap.mean_v(cloud.t, cloud.x, fv)
             self.v_sup = max(self.v_sup, v_mean)
             row += [
                 v_mean,
@@ -749,7 +754,7 @@ def _ev0(lyap, cloud, fv) -> float:
     """The measured E v(0, x₀) that seeds the envelopes; 0 without ``lyap``."""
     if lyap is None:
         return 0.0
-    return float(tree_mean(np.asarray(lyap.v(0.0, cloud.x, fv), dtype=float)))
+    return lyap.mean_v(0.0, cloud.x, fv)
 
 
 def simulate(

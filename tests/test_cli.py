@@ -273,6 +273,12 @@ def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
             [],
             "sim.checkpoints: checkpoint 1e-12 is off the grid",
         ),
+        (
+            "stationary",
+            SIM_CFG + "stationary.horizons = 0.5 1\n",
+            [],
+            "checkpoint spacing 0.01 (shortest horizon / 50) is not a whole",
+        ),
     ],
     ids=[
         "sim.threads",
@@ -290,6 +296,7 @@ def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
         "t_samples=nan",
         "off-grid-checkpoint",
         "checkpoint-near-zero",
+        "stationary-spacing-off-grid",
     ],
 )
 def test_unusable_run_settings_exit_with_code_2(

@@ -253,7 +253,7 @@ def test_exit_bound_argument_validation():
 def test_degenerate_floor_makes_the_bound_vacuous():
     # |α| ≥ 8^{−1/4} kills the centered floor entirely
     sc = builtin_scenario("example2-nonlinear", alpha=-0.7, sigma=0.3)
-    assert sc.lyap.floor_degenerate
+    assert sc.lyap.boundary_infimum(3) == 0.0
     with pytest.raises(ValueError, match="not positive"):
         exit_probability_bound(sc.lyap, 1.0, 1.0, 3)
 
@@ -298,12 +298,30 @@ def test_saturated_scenario_passes_pointwise():
     assert report.passed(), report.summary()
 
 
-def test_probe_labels_are_preserved():
+def test_probe_labels_are_preserved(contraction_model, quartic_lyap_zero_rates):
     sc = builtin_scenario("example1-quartic")
     report = check_lyapunov_condition(
         sc.model, sc.lyap, (0.0,), [("mycloud", np.ones((4, 1)))]
     )
     assert report.rows[0].probe.startswith("mycloud@")
+    # every check labels alike: probes outermost, time samples inside, an
+    # unnamed probe called after its position; the pointwise check names
+    # its worst particle (L v = −4x⁴ against the bound 0: the one nearest 0)
+    model, lyap = contraction_model, quartic_lyap_zero_rates
+    probes = [np.array([[1.0], [-3.0], [0.1]]), ("named", np.array([2.0, 0.5, 1.0]))]
+    ts = (0.0, 0.5)
+    sweep = ["cloud00@t=0", "cloud00@t=0.5", "named@t=0", "named@t=0.5"]
+    drift = check_lyapunov_condition(model, lyap, ts, probes)
+    assert [r.probe for r in drift.rows] == [
+        "cloud00@t=0#p2", "cloud00@t=0.5#p2", "named@t=0#p1", "named@t=0.5#p1",
+    ]
+    assert [r.probe for r in check_floor(model, lyap, ts, probes).rows] == sweep
+    local = check_local_bound(model, lyap, ts, probes, levels=(1, 3))
+    assert [r.probe for r in local.rows] == [
+        f"{label}/k={k}" for label in sweep for k in (1, 3)
+    ]
+    _, growth = fit_growth_constant(model, lyap, ts, probes)
+    assert [r.probe for r in growth.rows] == sweep
 
 
 def test_floor_check_passes_and_fails_honestly():

@@ -68,14 +68,13 @@ def test_tag_validation():
 def test_tag_keys_are_stable_column_names():
     assert MeasureFunctionalTag("raw-moment", p=4).key == "m4"
     assert MeasureFunctionalTag("mean").key == "mean"
-    assert MeasureFunctionalTag("linear-combination", alpha=-0.5).key == "mean"
     assert MeasureFunctionalTag("quantile", alpha=0.5).key == "q05"
     assert MeasureFunctionalTag("expected-shortfall", alpha=0.1).key == "es01"
     assert MeasureFunctionalTag("clipped-mean").key == "cmean"
 
 
 def test_model_rejects_duplicate_functional_keys():
-    tags = (MeasureFunctionalTag("mean"), MeasureFunctionalTag("linear-combination", alpha=0.3))
+    tags = (MeasureFunctionalTag("mean"), MeasureFunctionalTag("mean"))
     with pytest.raises(ValueError, match="duplicate"):
         ModelSpec(
             name="dup",
@@ -174,7 +173,6 @@ def test_whole_space_means_no_finite_bound():
     assert not DomainLadder.positive_axis().whole_space
     half = DomainLadder(
         dim=2,
-        kind="open-box",
         lower=(-np.inf, -np.inf),
         upper=(np.inf, 1.0),
         rule=lambda k: (np.full(2, -float(k)), np.array([float(k), 1.0 - 1.0 / (k + 1)])),

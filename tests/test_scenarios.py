@@ -66,20 +66,18 @@ def test_example2_rejects_parameters_with_nonpositive_m():
 
 def test_example2_floor_coefficient_and_degeneracy():
     sc = builtin_scenario("example2-nonlinear")  # alpha = -0.5
-    assert not sc.lyap.floor_degenerate
     # floor coefficient 1/8 - alpha^4 = 0.0625 at the default
     assert sc.lyap.boundary_infimum(2) == pytest.approx(0.0625 * 16.0, rel=1e-15)
     # |alpha| >= 8^(-1/4) kills the floor; m = 1.2 - 6·0.09 = 0.66 stays valid
     degen = builtin_scenario("example2-nonlinear", alpha=0.7, sigma=0.3)
-    assert degen.lyap.floor_degenerate
     assert degen.lyap.boundary_infimum(5) == 0.0
 
 
 def test_example2_functional_records_alpha():
     sc = builtin_scenario("example2-nonlinear", alpha=-0.25, sigma=0.5)
     (tag,) = sc.model.functionals
-    assert tag.kind == "linear-combination"
-    assert tag.alpha == -0.25
+    assert tag.kind == "mean"
+    assert sc.model.params["alpha"] == -0.25
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +89,8 @@ def test_example3_certified_rates_and_domain():
     sc = builtin_scenario("example3-cir")
     assert rate_const(sc.lyap.m1) == 1.0  # max(kappa, 1/2) at kappa = 1
     assert rate_const(sc.lyap.m2) == 2.0  # kappa^2/2 + kappa·theta
-    assert sc.model.ladder.kind == "positive-orthant"
+    assert not sc.model.ladder.whole_space
+    assert sc.model.ladder.lower == (0.0,)
     assert sc.model.functional_keys() == ("es01",)
     assert sc.model.params == {
         "kappa": 1.0, "theta": 1.5, "sigma": 1.0, "alpha": 0.1,
