@@ -220,9 +220,10 @@ def scheutzow_probe(
 
 @dataclass(frozen=True)
 class OccupationMeasure:
-    """Time-averaged law estimate: cloud snapshots pooled uniformly over
-    (0, horizon], strided down to at most POOL_CAP points. The pooled
-    count is exactly checkpoints_kept × particles_kept."""
+    """Time-averaged law estimate: the cloud at every checkpoint in
+    (0, horizon], pooled uniformly and strided down to at most POOL_CAP
+    points. The pooled count is exactly checkpoints_kept × particles_kept.
+    ``samples`` keeps the checkpoints' time order."""
 
     samples: np.ndarray
     horizon: float
@@ -238,24 +239,50 @@ class OccupationMeasure:
         return self.samples.shape[0]
 
 
-def _pool(snapshots, horizon: float) -> OccupationMeasure:
-    kept = [x for t, x in snapshots if 0.0 < t <= horizon + 1e-12]
-    if not kept:
-        raise ValueError(f"no snapshots in (0, {horizon:g}]")
-    n = kept[0].shape[0]
-    per = max(1, min(n, POOL_CAP // len(kept)))
-    stride = -(-n // per)  # ceil
-    m = len(range(0, n, stride))
-    # each snapshot's rows 0, stride, 2·stride, ... written straight into place
-    block = np.empty((len(kept) * m,) + kept[0].shape[1:], dtype=kept[0].dtype)
-    for j, x in enumerate(kept):
-        block[j * m : (j + 1) * m] = x[::stride]
-    return OccupationMeasure(
-        samples=block,
-        horizon=horizon,
-        checkpoints_kept=len(kept),
-        particles_kept=m,
-    )
+def _plan_pools(cfg: SimConfig, horizons, dim: int):
+    """Every horizon's occupation measure, over buffers that
+    ``fill(t, x)``, called at each checkpoint of the run, fills.
+
+    Horizon h keeps the checkpoints in (0, h] and, from each, the rows
+    0, stride, 2·stride, ... of the positions, with the stride that caps
+    its pool at POOL_CAP rows. Horizons with the same stride share one
+    buffer, sized for the longest of them: the checkpoints a shorter
+    horizon keeps are the first ones a longer one keeps, so its pool is a
+    prefix. ``horizons`` must ascend. Returns (occupations, fill).
+    """
+    times = [k / cfg.steps_per_unit for k in cfg.checkpoint_steps()]
+    n = cfg.n_particles
+    kept, strides = [], []
+    for h in horizons:
+        kept.append(sum(1 for t in times if 0.0 < t <= h + 1e-12))
+        if not kept[-1]:
+            raise ValueError(f"no snapshots in (0, {h:g}]")
+        per = max(1, min(n, POOL_CAP // kept[-1]))
+        strides.append(-(-n // per))  # ceil
+    # stride -> checkpoints its buffer holds: the last (longest) horizon's
+    rows = dict(zip(strides, kept))
+    m = {s: len(range(0, n, s)) for s in rows}
+    buffers = {s: np.empty((k * m[s], dim)) for s, k in rows.items()}
+    occupations = [
+        OccupationMeasure(
+            samples=buffers[s][: k * m[s]],
+            horizon=h,
+            checkpoints_kept=k,
+            particles_kept=m[s],
+        )
+        for h, k, s in zip(horizons, kept, strides)
+    ]
+    filled = 0  # checkpoints in (0, T] written so far
+
+    def fill(t, x):
+        nonlocal filled
+        if t > 0.0:
+            for s, buf in buffers.items():
+                if filled < rows[s]:
+                    buf[filled * m[s] : (filled + 1) * m[s]] = x[::s]
+            filled += 1
+
+    return occupations, fill
 
 
 def _common_subsample(a: np.ndarray, b: np.ndarray):
@@ -279,11 +306,13 @@ def stationary_estimate(
 ):
     """Occupation measures at increasing horizons with a Cauchy diagnostic.
 
-    One run to the largest horizon supplies every occupation measure (the
-    restriction of a longer run to an earlier window is bit-identical to
-    the shorter run). Checkpoints default to a uniform grid fine enough to
-    give the shortest horizon 50 in-window snapshots; that spacing must be
-    a whole number of steps, else ValueError. Returns
+    One run to the largest horizon fills every occupation measure at its
+    checkpoints (the restriction of a longer run to an earlier window is
+    bit-identical to the shorter run) and keeps no snapshot, so memory is
+    the cloud plus the pools. One-dimensional models only. Checkpoints
+    default to a uniform grid fine enough to give the shortest horizon 50
+    in-window snapshots; that spacing must be a whole number of steps,
+    else ValueError. Returns
     (occupations, diagnostics) where the diagnostics rows carry, per
     horizon, the declared functionals of the pooled samples and the W₁ gap
     to the previous horizon's occupation measure (nan for the first).
@@ -295,6 +324,8 @@ def stationary_estimate(
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0:
         raise ValueError("horizons must be positive")
+    if model.dim != 1:
+        raise ValueError("occupation measures are compared by 1-d W1")
     t_max = horizons[-1]
     if lyap is not None:
         grid = np.linspace(0.0, t_max, 201)
@@ -318,9 +349,8 @@ def stationary_estimate(
             )
         marks = np.arange(0.0, t_max + spacing / 2, spacing)
         run_cfg = replace(run_cfg, checkpoints=tuple(marks))
-    series = simulate(model, lyap, run_cfg, init, keep_snapshots=True)
-    occupations = [_pool(series.snapshots, t) for t in horizons]
-    series.snapshots.clear()  # the pools hold every sample still needed
+    occupations, fill = _plan_pools(run_cfg, horizons, model.dim)
+    series = simulate(model, lyap, run_cfg, init, _on_checkpoint=fill)
     columns = ["horizon"] + list(model.functional_keys()) + ["w1_prev"]
     rows = []
     for j, occ in enumerate(occupations):

@@ -149,6 +149,7 @@ def moment(mu, p: float) -> float:
 def quantile(mu, s: float) -> float:
     """Generalized-inverse quantile x_(⌈sN⌉) at level s ∈ (0, 1]."""
     mu = _as_measure(mu)
+    mu.scalar()  # d = 1 only
     if not (0.0 < s <= 1.0):
         raise ValueError(f"quantile level must lie in (0, 1], got {s}")
     xs = mu.sorted_axis()
@@ -161,6 +162,7 @@ def quantile(mu, s: float) -> float:
 def expected_shortfall(mu, alpha: float) -> float:
     """ES(α) = (1/α) ∫₀^α F⁻¹(s) ds for the empirical inverse CDF."""
     mu = _as_measure(mu)
+    mu.scalar()  # d = 1 only
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"shortfall level must lie in (0, 1], got {alpha}")
     n = mu.n
@@ -216,15 +218,20 @@ def evaluate_functionals(
 def wasserstein_p_1d(mu, nu, p: float) -> float:
     """p-Wasserstein distance between equal-N scalar empirical measures.
 
-    Sorted coupling; includes the p-th root.
+    Sorted coupling; includes the p-th root. |a − b|^p is formed in a
+    sorted copy this call owns, that of an array argument; a caller's
+    ``EmpiricalMeasure`` keeps its cached sort.
     """
+    owned = [not isinstance(m, EmpiricalMeasure) for m in (mu, nu)]
     mu, nu = _as_measure(mu), _as_measure(nu)
+    mu.scalar(), nu.scalar()  # d = 1 only
     if p < 1:
         raise ValueError("Wasserstein order must be >= 1")
     if mu.n != nu.n:
         raise ValueError(f"sample counts differ: {mu.n} vs {nu.n}")
-    # |a − b|**p in one buffer; in place, ** takes the same scalar-power path
-    diff = np.subtract(mu.sorted_axis(), nu.sorted_axis())
+    a, b = mu.sorted_axis(), nu.sorted_axis()
+    # in place, ** takes the same scalar-power path
+    diff = np.subtract(a, b, out=a if owned[0] else b if owned[1] else None)
     np.abs(diff, out=diff)
     diff **= p
     return float(tree_mean(diff)) ** (1.0 / p)

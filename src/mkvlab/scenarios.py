@@ -50,6 +50,14 @@ class Scenario:
     stability: dict | None = None
 
 
+def _constant_diffusion(sigma: float):
+    """σ(t, x, μ) = σ as one read-only (1, 1, 1) array, built once; the
+    engine broadcasts it over the particles."""
+    s = np.full((1, 1, 1), sigma)
+    s.flags.writeable = False
+    return lambda t, x, fv: s
+
+
 def _quartic_derivs():
     return dict(
         dv_dt=lambda t, x, fv: np.zeros(x.shape[0]),
@@ -163,7 +171,7 @@ def _example3(
         dim=1,
         noise_dim=1,
         drift=drift,
-        diffusion=lambda t, x, fv: np.full((1, 1, 1), 0.5 * sigma),
+        diffusion=_constant_diffusion(0.5 * sigma),
         functionals=(es,),
         ladder=DomainLadder.positive_axis(),
         # On [1/k, k] with positive support: max(ES, θ) ≤ θ + ES and
@@ -201,7 +209,7 @@ def _linear_meanfield(
         dim=1,
         noise_dim=1,
         drift=lambda t, x, fv: a * x + b * fv["mean"],
-        diffusion=lambda t, x, fv: np.full((1, 1, 1), sigma),
+        diffusion=_constant_diffusion(sigma),
         functionals=(MeasureFunctionalTag("mean"),),
         ladder=DomainLadder.full_space(1),
         local_bound=lambda k: abs(a) * k + abs(b) + sigma,
@@ -237,7 +245,7 @@ def _scheutzow_clip(sigma0: float = 0.4) -> Scenario:
         dim=1,
         noise_dim=1,
         drift=lambda t, x, fv: -x + fv["cmean"],
-        diffusion=lambda t, x, fv: np.full((1, 1, 1), sigma0),
+        diffusion=_constant_diffusion(sigma0),
         functionals=(tag,),
         ladder=DomainLadder.full_space(1),
         local_bound=lambda k: float(k) + 1.0 + sigma0,

@@ -763,13 +763,18 @@ def simulate(
     cfg: SimConfig,
     init: InitialLaw,
     keep_snapshots: bool = False,
+    *,
+    _on_checkpoint=None,
 ) -> DiagnosticsSeries:
     """Run the localized Euler scheme and collect checkpoint diagnostics.
 
     With a Lyapunov package the series carries the empirical ∫v dμ̂ against
     the envelopes M(t) and M⁺(t) seeded by the measured Ev₀; without one,
-    only functionals and exit fractions. ``keep_snapshots`` retains position
-    arrays at checkpoints (occupation-measure experiments need them).
+    only functionals and exit fractions. ``keep_snapshots`` retains copies
+    of the position arrays at checkpoints. ``_on_checkpoint`` is for
+    ``stationary_estimate`` only: ``_on_checkpoint(t, x)`` is called at
+    every checkpoint with a view of the positions that later steps
+    overwrite.
     """
     noise = NoiseStream(cfg.seed, cfg.stream)
     block = _start(model, cfg, noise, [init])
@@ -787,6 +792,8 @@ def simulate(
         rec.record(clouds[0], fvs[0])
         if keep_snapshots:
             snapshots.append((clouds[0].t, clouds[0].x.copy()))
+        if _on_checkpoint is not None:
+            _on_checkpoint(clouds[0].t, clouds[0].x)
 
     _run_clouds(model, cfg, noise, block, fvs, observe)
     return DiagnosticsSeries(

@@ -21,6 +21,19 @@ from mkvlab.scenarios import builtin_scenario
 from mkvlab.simulate import PointMass, SimConfig, UniformBox
 
 
+#: A two-dimensional model that stands still, for the 1-d-only checks.
+PLANAR = ModelSpec(
+    name="planar",
+    dim=2,
+    noise_dim=1,
+    drift=lambda t, x, fv: np.zeros_like(x),
+    diffusion=lambda t, x, fv: np.zeros((x.shape[0], 2, 1)),
+    functionals=(),
+    ladder=DomainLadder.full_space(2),
+    local_bound=lambda k: 0.0,
+)
+
+
 # ---------------------------------------------------------------------------
 # stability reports
 # ---------------------------------------------------------------------------
@@ -188,18 +201,8 @@ def test_replica_probe_validation():
     cfg = SimConfig(n_particles=10, horizon=0.1, steps_per_unit=10, cut_level=8.0, seed=0)
     with pytest.raises(ValueError):
         scheutzow_probe(sc.model, cfg, seeds=(1,), init=PointMass(0.5))
-    planar = ModelSpec(
-        name="planar",
-        dim=2,
-        noise_dim=1,
-        drift=lambda t, x, fv: np.zeros_like(x),
-        diffusion=lambda t, x, fv: np.zeros((x.shape[0], 2, 1)),
-        functionals=(),
-        ladder=DomainLadder.full_space(2),
-        local_bound=lambda k: 0.0,
-    )
     with pytest.raises(ValueError, match="1-d"):
-        scheutzow_probe(planar, cfg, seeds=(0, 1), init=PointMass((0.0, 0.0)))
+        scheutzow_probe(PLANAR, cfg, seeds=(0, 1), init=PointMass((0.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,55 +250,134 @@ def test_growing_envelopes_trigger_a_warning():
         )
 
 
-@pytest.mark.parametrize("cap", [None, 1000], ids=["stride-1", "strided"])
-def test_pooling_writes_the_strided_rows_of_every_kept_snapshot(monkeypatch, cap):
-    if cap is not None:
-        monkeypatch.setattr(analysis, "POOL_CAP", cap)
-    rng = np.random.default_rng(5)
-    n = 333
-    snapshots = [(0.1 * j, rng.standard_normal((n, 1))) for j in range(21)]
-    occ = analysis._pool(snapshots, 1.5)
-    kept = [x for t, x in snapshots if 0.0 < t <= 1.5 + 1e-12]
-    per = max(1, min(n, analysis.POOL_CAP // len(kept)))
-    idx = np.arange(0, n, -(-n // per))
-    assert (len(idx) == n) == (cap is None)
-    want = np.concatenate([x[idx] for x in kept], axis=0)
-    assert occ.samples.tobytes() == want.tobytes()
-    assert occ.samples.shape == want.shape
-    assert (occ.checkpoints_kept, occ.particles_kept) == (len(kept), len(idx))
-
-
-def test_stationary_post_processing_copies_no_snapshot(monkeypatch):
-    # Once the run is over, the snapshots and the pools built from them are
-    # the only large arrays that must exist together; then W₁ holds the
-    # sorted pair of two pools and one difference buffer, at most 3× the
-    # largest pool. So the traced peak of the whole call is at most
-    #   snapshot bytes + pool bytes + 3 × largest pool bytes + 1 MB.
-    # Pooling by fancy-index copies and concatenation, with fresh index
-    # arrays for the common subsample, read 64 MB against this 47 MB bound.
-    sc = builtin_scenario("example1-quartic")
-    cfg = SimConfig(n_particles=8000, horizon=1.0, steps_per_unit=100, cut_level=2, seed=0)
-    snapshot_bytes = []
+def keep_the_run_snapshots(monkeypatch):
+    """Make ``stationary_estimate``'s run also keep its snapshots; returns
+    the list they are appended to."""
+    snapshots = []
     run = analysis.simulate
 
-    def traced_run(*args, **kwargs):
-        series = run(*args, **kwargs)
-        snapshot_bytes.append(sum(x.nbytes for _, x in series.snapshots))
+    def run_keeping_snapshots(*args, **kwargs):
+        series = run(*args, keep_snapshots=True, **kwargs)
+        snapshots.extend(series.snapshots)
         return series
 
-    monkeypatch.setattr(analysis, "simulate", traced_run)
+    monkeypatch.setattr(analysis, "simulate", run_keeping_snapshots)
+    return snapshots
+
+
+POOL_CASES = {
+    # (POOL_CAP, n_particles, horizons, checkpoints)
+    "stride-1": (None, 300, (0.5, 1.0), None),
+    # 50, 60 and 150 checkpoints: strides 1, 1 and 3
+    "strided": (20_000, 333, (0.5, 0.6, 1.5), None),
+    # 2, 5 and 7 checkpoints: strides 1, 3 and 3
+    "given-checkpoints": (
+        600, 250, (0.1, 0.3, 0.5), (0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(POOL_CASES))
+def test_pooling_writes_the_strided_rows_of_every_kept_snapshot(monkeypatch, case):
+    cap, n, horizons, checkpoints = POOL_CASES[case]
+    if cap is not None:
+        monkeypatch.setattr(analysis, "POOL_CAP", cap)
+    snapshots = keep_the_run_snapshots(monkeypatch)
+    sc = builtin_scenario("example1-quartic")
+    cfg = SimConfig(
+        n_particles=n, horizon=1.0, steps_per_unit=100, cut_level=2,
+        seed=4, checkpoints=checkpoints,
+    )
+    occupations, _ = stationary_estimate(sc.model, cfg, horizons, UniformBox(-1.0, 1.0))
+    strides = set()
+    for occ, h in zip(occupations, horizons):
+        kept = [x for t, x in snapshots if 0.0 < t <= h + 1e-12]
+        per = max(1, min(n, analysis.POOL_CAP // len(kept)))
+        idx = np.arange(0, n, -(-n // per))
+        strides.add(-(-n // per))
+        want = np.concatenate([x[idx] for x in kept], axis=0)
+        assert occ.samples.shape == want.shape
+        assert occ.samples.tobytes() == want.tobytes()
+        assert (occ.checkpoints_kept, occ.particles_kept) == (len(kept), len(idx))
+    assert (strides == {1}) == (cap is None)
+
+
+def test_horizons_with_one_stride_share_one_buffer(monkeypatch):
+    monkeypatch.setattr(analysis, "POOL_CAP", 20_000)
+    sc = builtin_scenario("example1-quartic")
+    cfg = SimConfig(n_particles=333, horizon=1.0, steps_per_unit=100, cut_level=2, seed=0)
+    short, mid, long = stationary_estimate(
+        sc.model, cfg, (0.5, 0.6, 1.5), sc.default_init
+    )[0]
+    assert short.particles_kept == mid.particles_kept == 333
+    assert long.particles_kept < 333
+    assert np.shares_memory(short.samples, mid.samples)
+    assert not np.shares_memory(mid.samples, long.samples)
+
+
+def test_pools_are_planned_before_the_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(analysis, "simulate", no_run)
+    sc = builtin_scenario("example1-quartic")
+    cfg = SimConfig(
+        n_particles=10, horizon=1.0, steps_per_unit=10, cut_level=2, seed=0,
+        checkpoints=(0.0, 1.0),
+    )
+    with pytest.raises(ValueError, match=r"no snapshots in \(0, 0.5\]"):
+        stationary_estimate(sc.model, cfg, (0.5, 1.0), PointMass(1.0))
+    with pytest.raises(ValueError, match="1-d"):
+        stationary_estimate(PLANAR, cfg, (1.0,), PointMass((0.0, 0.0)))
+
+
+def traced_peak(fn):
     tracemalloc.start()
     try:
-        occupations, _ = stationary_estimate(
-            sc.model, cfg, (0.5, 1.0, 2.0), sc.default_init, lyap=sc.lyap
-        )
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_stationary_memory_does_not_grow_with_the_checkpoint_count(monkeypatch):
+    # Every pool is capped at 2e4 rows, so 100 checkpoints and 400 must
+    # cost the same: the run keeps no snapshot (2.4 MiB and 1.9 MiB here;
+    # keeping every snapshot read 17.4 MiB and 62.6 MiB).
+    monkeypatch.setattr(analysis, "POOL_CAP", 20_000)
+    sc = builtin_scenario("example1-quartic")
+    cfg = SimConfig(n_particles=20_000, horizon=1.0, steps_per_unit=100, cut_level=2, seed=0)
+    peaks = [
+        traced_peak(
+            lambda: stationary_estimate(sc.model, cfg, horizons, sc.default_init)
+        )
+        for horizons in ((1.0, 2.0), (1.0, 8.0))
+    ]
+    assert peaks[1] <= peaks[0] + 2**20, [p / 2**20 for p in peaks]
+
+
+def test_stationary_post_processing_copies_no_snapshot():
+    # The pools are the only large arrays the call keeps; after the run W₁
+    # holds the sorted pair of two pools and forms the difference in one of
+    # them. So the traced peak of the whole call is at most
+    #   pool bytes + 2 × largest pool bytes + 1 MB
+    # (pools that share a buffer are counted once each). This reads
+    # 24.5 MiB against the 28.5 MiB bound; keeping every snapshot until the
+    # run ended read 33.7 MiB.
+    sc = builtin_scenario("example1-quartic")
+    cfg = SimConfig(n_particles=8000, horizon=1.0, steps_per_unit=100, cut_level=2, seed=0)
+    occupations = []
+    peak = traced_peak(
+        lambda: occupations.extend(
+            stationary_estimate(
+                sc.model, cfg, (0.5, 1.0, 2.0), sc.default_init, lyap=sc.lyap
+            )[0]
+        )
+    )
     pools = [occ.samples.nbytes for occ in occupations]
     # the last horizon pools strided rows: 200 snapshots × 4000 particles
     assert occupations[-1].particles_kept < cfg.n_particles
-    bound = snapshot_bytes[0] + sum(pools) + 3 * max(pools) + 2**20
+    bound = sum(pools) + 2 * max(pools) + 2**20
     assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 

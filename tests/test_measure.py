@@ -284,6 +284,45 @@ def test_w_p_equals_the_allocating_formula_bit_for_bit(p):
     assert wasserstein_p_1d(a, b, p).hex() == want.hex()
 
 
+def test_w_leaves_a_callers_cached_sort_alone():
+    rng = np.random.Generator(np.random.Philox(25))
+    a, b = rng.normal(size=(500, 1)), rng.normal(size=(500, 1))
+    a0, b0 = a.copy(), b.copy()
+    mu, nu = EmpiricalMeasure(a), EmpiricalMeasure(b)
+    sa, sb = mu.sorted_axis().copy(), nu.sorted_axis().copy()
+    want = wasserstein_p_1d(a, b, 2.0)
+    for pair in ((mu, nu), (mu, b), (a, nu)):
+        assert wasserstein_p_1d(*pair, 2.0) == want
+    assert np.array_equal(mu.sorted_axis(), sa)
+    assert np.array_equal(nu.sorted_axis(), sb)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+def planar_pair():
+    """Two (10, 2) clouds equal in coordinate 0 and 5 apart in coordinate 1."""
+    x = np.zeros((10, 2))
+    x[:, 1] = np.arange(10.0)
+    y = x.copy()
+    y[:, 1] += 5.0
+    return x, y
+
+
+def test_w_refuses_multidimensional_clouds():
+    x, y = planar_pair()
+    with pytest.raises(ValueError, match="d=1"):
+        wasserstein_p_1d(x, y, 1.0)
+
+
+def test_quantile_refuses_multidimensional_clouds():
+    with pytest.raises(ValueError, match="d=1"):
+        quantile(planar_pair()[0], 0.5)
+
+
+def test_shortfall_refuses_multidimensional_clouds():
+    with pytest.raises(ValueError, match="d=1"):
+        expected_shortfall(planar_pair()[0], 0.5)
+
+
 # ---------------------------------------------------------------------------
 # transport distances, exact small-cloud solver
 # ---------------------------------------------------------------------------

@@ -144,6 +144,20 @@ def test_scheutzow_clip_rejects_negative_noise():
         builtin_scenario("scheutzow-clip", sigma0=-0.1)
 
 
+@pytest.mark.parametrize(
+    "name, sigma",
+    [("example3-cir", lambda p: 0.5 * p["sigma"]),
+     ("linear-meanfield", lambda p: p["sigma"]),
+     ("scheutzow-clip", lambda p: p["sigma0"])],
+)
+def test_constant_diffusions_are_one_read_only_array(name, sigma):
+    model = builtin_scenario(name).model
+    s = model.diffusion(0.0, np.ones((5, 1)), {})
+    assert s.shape == (1, 1, 1) and s[0, 0, 0] == sigma(model.params)
+    assert not s.flags.writeable
+    assert model.diffusion(1.0, np.zeros((3, 1)), {}) is s
+
+
 # ---------------------------------------------------------------------------
 # lookup errors
 # ---------------------------------------------------------------------------
