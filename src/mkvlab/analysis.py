@@ -223,7 +223,7 @@ class OccupationMeasure:
     """Time-averaged law estimate: the cloud at every checkpoint in
     (0, horizon], pooled uniformly and strided down to at most POOL_CAP
     points. The pooled count is exactly checkpoints_kept × particles_kept.
-    ``samples`` keeps the checkpoints' time order."""
+    ``samples`` keeps the checkpoints' time order and is read-only."""
 
     samples: np.ndarray
     horizon: float
@@ -239,7 +239,7 @@ class OccupationMeasure:
         return self.samples.shape[0]
 
 
-def _plan_pools(cfg: SimConfig, horizons, dim: int):
+def _plan_pools(cfg: SimConfig, horizons):
     """Every horizon's occupation measure, over buffers that
     ``fill(t, x)``, called at each checkpoint of the run, fills.
 
@@ -248,7 +248,8 @@ def _plan_pools(cfg: SimConfig, horizons, dim: int):
     its pool at POOL_CAP rows. Horizons with the same stride share one
     buffer, sized for the longest of them: the checkpoints a shorter
     horizon keeps are the first ones a longer one keeps, so its pool is a
-    prefix. ``horizons`` must ascend. Returns (occupations, fill).
+    prefix. Only ``fill`` writes the buffers: every pool is a read-only
+    view. ``horizons`` must ascend. Returns (occupations, fill).
     """
     times = [k / cfg.steps_per_unit for k in cfg.checkpoint_steps()]
     n = cfg.n_particles
@@ -262,16 +263,16 @@ def _plan_pools(cfg: SimConfig, horizons, dim: int):
     # stride -> checkpoints its buffer holds: the last (longest) horizon's
     rows = dict(zip(strides, kept))
     m = {s: len(range(0, n, s)) for s in rows}
-    buffers = {s: np.empty((k * m[s], dim)) for s, k in rows.items()}
-    occupations = [
-        OccupationMeasure(
-            samples=buffers[s][: k * m[s]],
-            horizon=h,
-            checkpoints_kept=k,
-            particles_kept=m[s],
+    buffers = {s: np.empty((k * m[s], 1)) for s, k in rows.items()}
+    occupations = []
+    for h, k, s in zip(horizons, kept, strides):
+        samples = buffers[s][: k * m[s]]
+        samples.flags.writeable = False
+        occupations.append(
+            OccupationMeasure(
+                samples=samples, horizon=h, checkpoints_kept=k, particles_kept=m[s]
+            )
         )
-        for h, k, s in zip(horizons, kept, strides)
-    ]
     filled = 0  # checkpoints in (0, T] written so far
 
     def fill(t, x):
@@ -349,7 +350,7 @@ def stationary_estimate(
             )
         marks = np.arange(0.0, t_max + spacing / 2, spacing)
         run_cfg = replace(run_cfg, checkpoints=tuple(marks))
-    occupations, fill = _plan_pools(run_cfg, horizons, model.dim)
+    occupations, fill = _plan_pools(run_cfg, horizons)
     series = simulate(model, lyap, run_cfg, init, _on_checkpoint=fill)
     columns = ["horizon"] + list(model.functional_keys()) + ["w1_prev"]
     rows = []

@@ -43,8 +43,6 @@ def tree_sum(values: np.ndarray):
         return np.zeros(values.shape[1:], dtype=values.dtype)
     flat = values.ndim == 1 and values.flags.c_contiguous
     if flat and values.dtype == np.float64:
-        if n <= BLOCK:
-            return values.sum()  # a single block: nothing to fold
         # The full blocks as the rows of one array: numpy sums each row
         # exactly as it sums that block alone, in one call instead of one
         # per block. Python floats add as float64 scalars do.

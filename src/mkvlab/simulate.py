@@ -770,12 +770,20 @@ def simulate(
 
     With a Lyapunov package the series carries the empirical ∫v dμ̂ against
     the envelopes M(t) and M⁺(t) seeded by the measured Ev₀; without one,
-    only functionals and exit fractions. ``keep_snapshots`` retains copies
-    of the position arrays at checkpoints. ``_on_checkpoint`` is for
+    only functionals and exit fractions. ``_on_checkpoint`` is for
     ``stationary_estimate`` only: ``_on_checkpoint(t, x)`` is called at
     every checkpoint with a view of the positions that later steps
-    overwrite.
+    overwrite. ``keep_snapshots`` is the hook that retains copies of them;
+    the two do not combine.
     """
+    snapshots = []
+    if keep_snapshots:
+        if _on_checkpoint is not None:
+            raise ValueError("keep_snapshots is itself an _on_checkpoint hook")
+
+        def _on_checkpoint(t, x):
+            snapshots.append((t, x.copy()))
+
     noise = NoiseStream(cfg.seed, cfg.stream)
     block = _start(model, cfg, noise, [init])
     fvs = [evaluate_functionals(model.functionals, block.x)]
@@ -786,12 +794,8 @@ def simulate(
     for m in cfg.tracked_levels():
         meta[f"p0_out_{m:g}"] = block.exit_fraction(m)
 
-    snapshots = []
-
     def observe(clouds, fvs):
         rec.record(clouds[0], fvs[0])
-        if keep_snapshots:
-            snapshots.append((clouds[0].t, clouds[0].x.copy()))
         if _on_checkpoint is not None:
             _on_checkpoint(clouds[0].t, clouds[0].x)
 

@@ -256,10 +256,12 @@ def keep_the_run_snapshots(monkeypatch):
     snapshots = []
     run = analysis.simulate
 
-    def run_keeping_snapshots(*args, **kwargs):
-        series = run(*args, keep_snapshots=True, **kwargs)
-        snapshots.extend(series.snapshots)
-        return series
+    def run_keeping_snapshots(*args, _on_checkpoint, **kwargs):
+        def keep_and_fill(t, x):
+            snapshots.append((t, x.copy()))
+            _on_checkpoint(t, x)
+
+        return run(*args, _on_checkpoint=keep_and_fill, **kwargs)
 
     monkeypatch.setattr(analysis, "simulate", run_keeping_snapshots)
     return snapshots
@@ -313,6 +315,8 @@ def test_horizons_with_one_stride_share_one_buffer(monkeypatch):
     assert long.particles_kept < 333
     assert np.shares_memory(short.samples, mid.samples)
     assert not np.shares_memory(mid.samples, long.samples)
+    # so no caller can edit one horizon's pool through another's
+    assert not any(o.samples.flags.writeable for o in (short, mid, long))
 
 
 def test_pools_are_planned_before_the_run(monkeypatch):

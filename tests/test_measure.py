@@ -307,20 +307,18 @@ def planar_pair():
     return x, y
 
 
-def test_w_refuses_multidimensional_clouds():
-    x, y = planar_pair()
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x, y: wasserstein_p_1d(x, y, 1.0),
+        lambda x, y: quantile(x, 0.5),
+        lambda x, y: expected_shortfall(x, 0.5),
+    ],
+    ids=["w1", "quantile", "shortfall"],
+)
+def test_scalar_statistics_refuse_multidimensional_clouds(call):
     with pytest.raises(ValueError, match="d=1"):
-        wasserstein_p_1d(x, y, 1.0)
-
-
-def test_quantile_refuses_multidimensional_clouds():
-    with pytest.raises(ValueError, match="d=1"):
-        quantile(planar_pair()[0], 0.5)
-
-
-def test_shortfall_refuses_multidimensional_clouds():
-    with pytest.raises(ValueError, match="d=1"):
-        expected_shortfall(planar_pair()[0], 0.5)
+        call(*planar_pair())
 
 
 # ---------------------------------------------------------------------------

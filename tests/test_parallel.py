@@ -23,27 +23,6 @@ def test_float_vectors_sum_exactly_like_the_block_loop(n):
         assert got.tobytes() == want.tobytes()
 
 
-def reshape_fold_sum(values):
-    """The float64 vector path as it was before single blocks skipped it:
-    the full blocks as rows of one array, the tail on its own, folded."""
-    n = values.shape[0]
-    full = n - n % BLOCK
-    parts = values[:full].reshape(-1, BLOCK).sum(axis=1).tolist()
-    if full < n:
-        parts.append(float(values[full:].sum()))
-    return np.float64(_pairwise_fold(parts))
-
-
-@pytest.mark.parametrize("n", [1, 2, 1000, BLOCK - 1, BLOCK, BLOCK + 1, 10_000])
-def test_float_vectors_sum_exactly_like_the_reshape_fold(n):
-    rng = np.random.Generator(np.random.Philox(7 * n))
-    wide = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-    for values in (rng.standard_normal(n), wide, np.exp(20.0 * rng.standard_normal(n))):
-        got, want = tree_sum(values), reshape_fold_sum(values)
-        assert type(got) is type(want) is np.float64
-        assert got.tobytes() == want.tobytes()
-
-
 def test_other_shapes_and_dtypes_keep_the_block_loop():
     rng = np.random.Generator(np.random.Philox(1))
     cases = (

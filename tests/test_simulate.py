@@ -536,6 +536,23 @@ def test_series_columns_track_snapshots():
     assert v_sup == pytest.approx(np.maximum.accumulate(v_mean), rel=1e-12)
 
 
+def test_kept_snapshots_are_what_the_checkpoint_hook_sees():
+    sc = builtin_scenario("example1-quartic")
+    cfg = small_cfg(n_particles=50)
+    seen = []
+    simulate(
+        sc.model, None, cfg, UniformBox(-1.0, 1.0),
+        _on_checkpoint=lambda t, x: seen.append((t, x.tobytes())),
+    )
+    kept = simulate(sc.model, None, cfg, UniformBox(-1.0, 1.0), keep_snapshots=True)
+    assert seen == [(t, x.tobytes()) for t, x in kept.snapshots]
+    with pytest.raises(ValueError, match="hook"):
+        simulate(
+            sc.model, None, cfg, PointMass(1.0), keep_snapshots=True,
+            _on_checkpoint=lambda t, x: None,
+        )
+
+
 def test_csv_round_trip(tmp_path):
     sc = builtin_scenario("example1-quartic")
     series = simulate(sc.model, sc.lyap, small_cfg(), sc.default_init)
