@@ -36,7 +36,10 @@ from .model import ModelSpec
 from .simulate import (
     DiagnosticsSeries,
     InitialLaw,
+    NoiseStream,
     SimConfig,
+    _run_clouds,
+    _start,
     coupled_simulate,
     grid_steps,
     simulate,
@@ -182,34 +185,36 @@ def scheutzow_probe(
 ) -> CheckReport:
     """Inter-replica law agreement for saturated-interaction models.
 
-    Runs one replica per seed from the same initial law, then compares
-    every replica pair's empirical measure at every checkpoint by W₁.
-    Rows report (distance, scale·N^{−1/2}); margins below the tolerance
-    are findings against weak uniqueness, not errors.
+    Runs one replica per seed from the same initial law, as one block that
+    gives each the numbers of its lone ``simulate`` run, and compares every
+    replica pair's empirical measure by W₁ at each checkpoint, keeping no
+    positions. Rows report (distance, scale·N^{−1/2}); margins below the
+    tolerance are findings against weak uniqueness, not errors.
     """
     seeds = list(seeds)
     if len(seeds) < 2:
         raise ValueError("replica probe needs at least two seeds")
     if model.dim != 1:
         raise ValueError("replica probe compares laws by 1-d W1")
-    snapshots = []
-    for s in seeds:
-        series = simulate(
-            model, None, replace(cfg, seed=int(s)), init, keep_snapshots=True
-        )
-        snapshots.append(series.snapshots)
+    streams = [NoiseStream(int(s), cfg.stream) for s in seeds]
+    block = _start(model, cfg, [(init, s, NoiseStream.PURPOSE_INIT) for s in streams])
+    fvs = [evaluate_functionals(model.functionals, c.x) for c in block.split(len(seeds))]
     rhs = scale / math.sqrt(cfg.n_particles)
-    rows = []
-    for a in range(len(seeds)):
-        for b in range(a + 1, len(seeds)):
-            for (t, xa), (_, xb) in zip(snapshots[a], snapshots[b]):
-                rows.append(
-                    CheckRow(
-                        probe=f"t={t:g}:rep({seeds[a]},{seeds[b]})",
-                        lhs=wasserstein_p_1d(xa, xb, 1.0),
-                        rhs=rhs,
-                    )
+    pairs = {(a, b): [] for a in range(len(seeds)) for b in range(a + 1, len(seeds))}
+
+    def observe(clouds, fvs):
+        for (a, b), rows in pairs.items():
+            rows.append(
+                CheckRow(
+                    probe=f"t={clouds[a].t:g}:rep({seeds[a]},{seeds[b]})",
+                    lhs=wasserstein_p_1d(clouds[a].x, clouds[b].x, 1.0),
+                    rhs=rhs,
                 )
+            )
+
+    draws = [(s, NoiseStream.PURPOSE_STEP) for s in streams]
+    _run_clouds(model, cfg, draws, block, fvs, observe)
+    rows = [row for pair in pairs.values() for row in pair]
     return CheckReport(f"inter-replica W1 agreement [{model.name}]", rows)
 
 

@@ -54,6 +54,7 @@ from .simulate import (
     NoiseStream,
     SimConfig,
     _base_meta,
+    _mc_band,
     _run_clouds,
     _start,
 )
@@ -332,7 +333,7 @@ def ito_residual_measure(
     if u.d_mu is None or u.dy_d_mu is None:
         raise ValueError(f"measure function {u.uid!r} lacks analytic derivatives")
     noise = NoiseStream(cfg.seed, cfg.stream)
-    block = _start(model, cfg, noise, [init])
+    block = _start(model, cfg, [(init, noise, NoiseStream.PURPOSE_INIT)])
     fvs = [evaluate_functionals(model.functionals, block.x)]
     u0, acc, mart_var = u(block.x), 0.0, 0.0
     rows = [[0.0, 0.0, 0.0]]
@@ -361,7 +362,8 @@ def ito_residual_measure(
         if cloud.step:
             rows.append([cloud.t, u(cloud.x) - u0 - acc, 3.0 * math.sqrt(mart_var)])
 
-    _run_clouds(model, cfg, noise, block, fvs, observe, hook=before_step)
+    draws = [(noise, NoiseStream.PURPOSE_STEP)]
+    _run_clouds(model, cfg, draws, block, fvs, observe, hook=before_step)
     return DiagnosticsSeries(
         columns=["t", "R", "band"],
         rows=rows,
@@ -389,7 +391,10 @@ def ito_residual_full(
     cross-particle band.
     """
     noise = NoiseStream(cfg.seed, cfg.stream)
-    block = _start(model, cfg, noise, [init, init2 or init])
+    block = _start(
+        model, cfg,
+        [(init, noise, NoiseStream.PURPOSE_INIT), (init2 or init, noise, NoiseStream.PURPOSE_INIT2)],
+    )
     clouds = block.split(2)
     fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
     # a copy: v may return a view of the positions, which the steps move
@@ -425,13 +430,10 @@ def ito_residual_full(
         cloud = clouds[0]
         if cloud.step:
             resid = _floats(lyap.v(cloud.t, cloud.x, fvs[0])) - v0 - acc - mart
-            band = 3.0 * float(np.std(resid, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-            rows.append([cloud.t, float(tree_mean(resid)), band])
+            rows.append([cloud.t, float(tree_mean(resid)), _mc_band(resid)])
 
-    _run_clouds(
-        model, cfg, noise, block, fvs, observe, hook=before_step,
-        purposes=(NoiseStream.PURPOSE_STEP, NoiseStream.PURPOSE_STEP2),
-    )
+    draws = [(noise, NoiseStream.PURPOSE_STEP), (noise, NoiseStream.PURPOSE_STEP2)]
+    _run_clouds(model, cfg, draws, block, fvs, observe, hook=before_step)
     return DiagnosticsSeries(
         columns=["t", "R", "band"],
         rows=rows,

@@ -16,12 +16,12 @@ particles, and byte-reproducible for a given numpy version. Uniforms (the
 initial laws) are Philox raw words at the same key, random-access (see
 ``NoiseStream``).
 
-The engine is serial: ``simulate``, ``coupled_simulate`` and the Itô
-residuals share one time loop. A run draws its clouds (one, a coupled pair,
-or an Itô pair on independent noise) into one block of rows at step 0, and
-that block is the run's only particle state: each step draws the increments
-into one buffer and advances the whole block in place with one
-``euler_step``.
+The engine is serial: ``simulate``, ``coupled_simulate``, the replica probe
+and the Itô residuals share one time loop. A run draws its clouds (one, a
+coupled pair, an Itô pair on independent noise, or replicas on seeds of
+their own) into one block of rows at step 0, and that block is the run's
+only particle state: each step draws the increments into one buffer and
+advances the whole block in place with one ``euler_step``.
 """
 
 from __future__ import annotations
@@ -585,17 +585,17 @@ class DiagnosticsSeries:
     """Checkpoint table with fixed column order plus run metadata.
 
     Columns: t, declared functionals, then (with a Lyapunov package)
-    v_mean, M, M_plus, then exit_frac_<m> per tracked level, then v_sup:
-    the running max of v_mean over the checkpoints recorded so far, not
-    over every step (v_mean is only computed at checkpoints). ``meta``
-    records scenario/run facts that are part of reproducibility — never the
-    worker count, which must not influence any output.
+    v_mean, v_band (its 3σ Monte Carlo width), M, M_plus, then
+    exit_frac_<m> per tracked level, then v_sup: the running max of v_mean
+    over the checkpoints recorded so far, not over every step (v_mean is
+    only computed at checkpoints). ``meta`` records scenario/run facts that
+    are part of reproducibility — never the worker count, which must not
+    influence any output.
     """
 
     columns: list
     rows: list
     meta: dict = field(default_factory=dict)
-    snapshots: list = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
         j = self.columns.index(name)
@@ -616,10 +616,17 @@ class DiagnosticsSeries:
         return lines
 
 
+def _mc_band(values: np.ndarray) -> float:
+    """3·sd/√n (ddof = 1), the 3σ Monte Carlo width of ``values``' mean."""
+    if values.size < 2:
+        return 0.0
+    return 3.0 * float(np.std(values, ddof=1)) / math.sqrt(values.size)
+
+
 def _series_columns(model, lyap, levels) -> list:
     cols = ["t"] + list(model.functional_keys())
     if lyap is not None:
-        cols += ["v_mean", "M", "M_plus"]
+        cols += ["v_mean", "v_band", "M", "M_plus"]
     cols += [f"exit_frac_{m:g}" for m in levels]
     if lyap is not None:
         cols += ["v_sup"]
@@ -649,10 +656,12 @@ class _Recorder:
     def record(self, cloud: ParticleCloud, fv: dict) -> None:
         row = [cloud.t] + [fv[k] for k in self.model.functional_keys()]
         if self.lyap is not None:
-            v_mean = self.lyap.mean_v(cloud.t, cloud.x, fv)
+            v = np.asarray(self.lyap.v(cloud.t, cloud.x, fv), dtype=float)
+            v_mean = float(tree_mean(v))
             self.v_sup = max(self.v_sup, v_mean)
             row += [
                 v_mean,
+                _mc_band(v),
                 self._envelope_M(self.lyap, self.ev0, cloud.t),
                 self._envelope_Mplus(self.lyap, self.ev0, cloud.t),
             ]
@@ -673,30 +682,28 @@ def _base_meta(model, cfg) -> dict:
     }
 
 
-def _run_clouds(
-    model, cfg, noise, block, fvs, observe, hook=None,
-    purposes=(NoiseStream.PURPOSE_STEP,),
-) -> None:
-    """The time loop of ``simulate``, ``coupled_simulate`` and the Itô
-    residuals of ``mkvlab.lions``.
+def _run_clouds(model, cfg, draws, block, fvs, observe, hook=None) -> None:
+    """The time loop of ``simulate``, ``coupled_simulate``, the replica
+    probe of ``mkvlab.analysis`` and the Itô residuals of ``mkvlab.lions``.
 
     ``block`` is the run's step-0 block of R clouds of N rows each, in
     order, with R = ``len(fvs)`` and ``fvs`` each cloud's functional values
     at step 0. Each step is one ``euler_step`` that advances the block in
     place, so the step's fixed cost is paid once, not per cloud, and the
-    block is the run's only particle state. ``purposes`` holds the step
-    noise's purpose ids: with one, every cloud shares it, and particle i of
-    every cloud moves with increment i, so a lone cloud gets the very draw
-    ``euler_step`` would make for itself; with R, each cloud draws on its
-    own purpose into its own rows of one (R·N, d') buffer. Before each step
-    the loop evaluates the block's cut coefficients into the workspace and
-    hands them to ``euler_step``; ``hook(clouds, fvs, (b, σ), dw)``, if
-    given, sees them first, with the pre-step clouds, their functional
-    values and the step's increments. After each step the loop reduces
-    every cloud's functionals on its own rows, for the next step. At every
-    checkpoint step (the checkpoints always include step 0)
-    ``observe(clouds, fvs)`` is called. ``observe`` and ``hook`` see each
-    cloud as a ``ParticleCloud`` view of its rows of the block.
+    block is the run's only particle state. ``draws`` holds the step noise's
+    (``NoiseStream``, purpose) pairs: with one, every cloud shares its draw,
+    and particle i of every cloud moves with increment i, so a lone cloud
+    gets the very draw ``euler_step`` would make for itself; with R, cloud j
+    draws on its own pair into its own rows of one (R·N, d') buffer. Before
+    each step the loop evaluates the block's cut coefficients into the
+    workspace and hands them to ``euler_step``;
+    ``hook(clouds, fvs, (b, σ), dw)``, if given, sees them first, with the
+    pre-step clouds, their functional values and the step's increments.
+    After each step the loop reduces every cloud's functionals on its own
+    rows, for the next step. At every checkpoint step (the checkpoints
+    always include step 0) ``observe(clouds, fvs)`` is called. ``observe``
+    and ``hook`` see each cloud as a ``ParticleCloud`` view of its rows of
+    the block.
 
     The loop owns its memory: one noise buffer, one ``_Workspace`` for the
     block that the coefficients and ``euler_step`` write into, and one
@@ -709,12 +716,12 @@ def _run_clouds(
     r = len(fvs)
     n = block.n // r
     rows = [slice(j * n, (j + 1) * n) for j in range(r)]
-    dw, scratch = np.empty((len(purposes) * n, model.noise_dim)), np.empty(n)
-    draws = [(purpose, dw[j]) for purpose, j in zip(purposes, rows)]
+    dw, scratch = np.empty((len(draws) * n, model.noise_dim)), np.empty(n)
+    outs = [(noise, purpose, dw[j]) for (noise, purpose), j in zip(draws, rows)]
     work = _Workspace(block.n, model)
     observe(block.split(r), fvs)
     for i in range(cfg.total_steps):
-        for purpose, out in draws:
+        for noise, purpose, out in outs:
             noise.increments(i, n, model.noise_dim, cfg.dt, purpose, out=out)
         coefficients = evaluate_coefficients(
             model, block.t, block.x, fvs, cfg.cut_level, out=work.coefficients
@@ -722,7 +729,7 @@ def _run_clouds(
         if hook is not None:
             hook(block.split(r), fvs, coefficients, dw)
         euler_step(
-            block, model, cfg, noise, shared_dw=dw, fv=fvs,
+            block, model, cfg, None, shared_dw=dw, fv=fvs,
             coefficients=coefficients, work=work,
         )
         # euler_step has checked these positions are finite
@@ -736,15 +743,13 @@ def _run_clouds(
             observe(block.split(r), fvs)
 
 
-def _start(model, cfg, noise, laws) -> ParticleCloud:
-    """The step-0 block of one cloud per law of ``laws`` (one or two): the
-    first draws on noise purpose ``PURPOSE_INIT``, the second on
-    ``PURPOSE_INIT2``."""
-    purposes = (NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_INIT2)
+def _start(model, cfg, clouds) -> ParticleCloud:
+    """The step-0 block of one cloud per (law, ``NoiseStream``, purpose) of
+    ``clouds``: each law draws its N rows on its own stream and purpose."""
     x0 = np.concatenate(
         [
             law.sample(cfg.n_particles, model.dim, noise, purpose)
-            for law, purpose in zip(laws, purposes)
+            for law, noise, purpose in clouds
         ]
     )
     return ParticleCloud.create(x0, model, cfg.tracked_levels())
@@ -762,30 +767,20 @@ def simulate(
     lyap,
     cfg: SimConfig,
     init: InitialLaw,
-    keep_snapshots: bool = False,
     *,
     _on_checkpoint=None,
 ) -> DiagnosticsSeries:
     """Run the localized Euler scheme and collect checkpoint diagnostics.
 
-    With a Lyapunov package the series carries the empirical ∫v dμ̂ against
-    the envelopes M(t) and M⁺(t) seeded by the measured Ev₀; without one,
-    only functionals and exit fractions. ``_on_checkpoint`` is for
-    ``stationary_estimate`` only: ``_on_checkpoint(t, x)`` is called at
-    every checkpoint with a view of the positions that later steps
-    overwrite. ``keep_snapshots`` is the hook that retains copies of them;
-    the two do not combine.
+    With a Lyapunov package the series carries the empirical ∫v dμ̂ with
+    its 3σ Monte Carlo band, and the envelopes M(t) and M⁺(t) seeded by the
+    measured Ev₀; without one, only functionals and exit fractions.
+    ``_on_checkpoint`` is for the engine's own callers: it is called as
+    ``_on_checkpoint(t, x)`` at every checkpoint with a view of the
+    positions that later steps overwrite, and copies what it keeps.
     """
-    snapshots = []
-    if keep_snapshots:
-        if _on_checkpoint is not None:
-            raise ValueError("keep_snapshots is itself an _on_checkpoint hook")
-
-        def _on_checkpoint(t, x):
-            snapshots.append((t, x.copy()))
-
     noise = NoiseStream(cfg.seed, cfg.stream)
-    block = _start(model, cfg, noise, [init])
+    block = _start(model, cfg, [(init, noise, NoiseStream.PURPOSE_INIT)])
     fvs = [evaluate_functionals(model.functionals, block.x)]
     ev0 = _ev0(lyap, block, fvs[0])
     rec = _Recorder(model, lyap, cfg, ev0)
@@ -799,10 +794,8 @@ def simulate(
         if _on_checkpoint is not None:
             _on_checkpoint(clouds[0].t, clouds[0].x)
 
-    _run_clouds(model, cfg, noise, block, fvs, observe)
-    return DiagnosticsSeries(
-        columns=rec.columns, rows=rec.rows, meta=meta, snapshots=snapshots
-    )
+    _run_clouds(model, cfg, [(noise, NoiseStream.PURPOSE_STEP)], block, fvs, observe)
+    return DiagnosticsSeries(columns=rec.columns, rows=rec.rows, meta=meta)
 
 
 def coupled_simulate(
@@ -825,7 +818,10 @@ def coupled_simulate(
     noise = NoiseStream(cfg.seed, cfg.stream)
     # A distinct purpose id keeps the second cloud's *initial* draw
     # independent while step noise stays shared.
-    block = _start(model, cfg, noise, [init1, init2])
+    block = _start(
+        model, cfg,
+        [(init1, noise, NoiseStream.PURPOSE_INIT), (init2, noise, NoiseStream.PURPOSE_INIT2)],
+    )
     clouds = block.split(2)
     fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
     recs = [
@@ -841,12 +837,9 @@ def coupled_simulate(
         diff = clouds[0].x - clouds[1].x
         z = diff[:, 0] if model.dim == 1 else np.linalg.norm(diff, axis=1)
         values = np.asarray(vbar(z), dtype=float)
-        band = 0.0
-        if values.size > 1:
-            band = 3.0 * float(np.std(values, ddof=1)) / math.sqrt(values.size)
-        dist_rows.append([clouds[0].t, float(tree_mean(values)), band])
+        dist_rows.append([clouds[0].t, float(tree_mean(values)), _mc_band(values)])
 
-    _run_clouds(model, cfg, noise, block, fvs, observe)
+    _run_clouds(model, cfg, [(noise, NoiseStream.PURPOSE_STEP)], block, fvs, observe)
 
     series = [
         DiagnosticsSeries(columns=r.columns, rows=r.rows, meta=m)

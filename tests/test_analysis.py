@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from mkvlab.analysis import (
     stationary_estimate,
 )
 from mkvlab.lyapunov import Rate
+from mkvlab.measure import wasserstein_p_1d
 from mkvlab.model import DomainLadder, ModelSpec
 from mkvlab.scenarios import builtin_scenario
-from mkvlab.simulate import PointMass, SimConfig, UniformBox
+from mkvlab.simulate import PointMass, SimConfig, UniformBox, simulate
 
 
 #: A two-dimensional model that stands still, for the 1-d-only checks.
@@ -32,6 +34,15 @@ PLANAR = ModelSpec(
     ladder=DomainLadder.full_space(2),
     local_bound=lambda k: 0.0,
 )
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +216,50 @@ def test_replica_probe_validation():
         scheutzow_probe(PLANAR, cfg, seeds=(0, 1), init=PointMass((0.0, 0.0)))
 
 
+def test_replica_rows_are_lone_runs_compared():
+    # the probe steps its replicas as one block; each must get exactly the
+    # numbers of its lone run, and the rows keep their per-pair order
+    sc = builtin_scenario("scheutzow-clip")
+    cfg = SimConfig(n_particles=300, horizon=0.5, steps_per_unit=40, cut_level=4, seed=0)
+    seeds, init = (0, 1, 2), UniformBox(-1.0, 1.5)
+    runs = []
+    for s in seeds:
+        runs.append([])
+        simulate(
+            sc.model, None, replace(cfg, seed=s), init,
+            _on_checkpoint=lambda t, x, kept=runs[-1]: kept.append((t, x.copy())),
+        )
+    want = [
+        (f"t={t:g}:rep({seeds[a]},{seeds[b]})", wasserstein_p_1d(xa, xb, 1.0), 5.0 / math.sqrt(300))
+        for a, b in ((0, 1), (0, 2), (1, 2))
+        for (t, xa), (_, xb) in zip(runs[a], runs[b])
+    ]
+    report = scheutzow_probe(sc.model, cfg, seeds, init)
+    assert [(r.probe, r.lhs, r.rhs) for r in report.rows] == want
+
+
+def test_replica_probe_memory_does_not_grow_with_the_checkpoint_count():
+    # the probe compares the replicas at each checkpoint and keeps no
+    # snapshot (1.3 MiB and 0.6 MiB here); keeping every snapshot of each
+    # replica read 1.8 MiB and 8.1 MiB
+    sc = builtin_scenario("scheutzow-clip")
+    peaks = [
+        traced_peak(
+            lambda: scheutzow_probe(
+                sc.model,
+                SimConfig(
+                    n_particles=5000, horizon=1.0, steps_per_unit=100, cut_level=4,
+                    seed=0, checkpoints=tuple(np.linspace(0.0, 1.0, k)),
+                ),
+                (0, 1),
+                PointMass(0.5),
+            )
+        )
+        for k in (11, 101)
+    ]
+    assert peaks[1] <= peaks[0] + 2**20, [p / 2**20 for p in peaks]
+
+
 # ---------------------------------------------------------------------------
 # stationary estimation
 # ---------------------------------------------------------------------------
@@ -333,15 +388,6 @@ def test_pools_are_planned_before_the_run(monkeypatch):
         stationary_estimate(sc.model, cfg, (0.5, 1.0), PointMass(1.0))
     with pytest.raises(ValueError, match="1-d"):
         stationary_estimate(PLANAR, cfg, (1.0,), PointMass((0.0, 0.0)))
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_stationary_memory_does_not_grow_with_the_checkpoint_count(monkeypatch):

@@ -115,3 +115,23 @@ def test_tracer_reaches_the_engine_loop(bench):
         totals = tracer.totals()
         for key in keys:
             assert totals.get(key, [0])[spans.CALLS] >= 1, (name, key)
+
+
+def test_cir_output_check_reads_the_emitted_files(bench, tmp_path):
+    # check_cir reads diagnostics.csv by column name, so a column added to
+    # the series must not break it; N = 2000 keeps the run short
+    _, workloads = bench
+    from mkvlab.cli import main, parse_config
+
+    text = workloads.config_text("cir-large", 0).replace(
+        "sim.n_particles = 100000", "sim.n_particles = 2000"
+    )
+    rc = parse_config(text)
+    assert rc.n_particles == 2000
+    cfg = tmp_path / "cir.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    files = {a: (out / a).read_bytes() for a in ("diagnostics.csv", "summary.txt")}
+    assert b"v_band" in files["diagnostics.csv"].splitlines()[0]
+    assert workloads.check_cir(files, rc) == []

@@ -33,6 +33,17 @@ from mkvlab.simulate import (
 )
 
 
+def run_keeping_snapshots(model, lyap, cfg, init):
+    """A ``simulate`` run and a copy of its positions at every checkpoint,
+    as (series, [(t, x), ...])."""
+    snapshots = []
+    series = simulate(
+        model, lyap, cfg, init,
+        _on_checkpoint=lambda t, x: snapshots.append((t, x.copy())),
+    )
+    return series, snapshots
+
+
 def small_cfg(**kw):
     base = dict(
         n_particles=50,
@@ -443,10 +454,10 @@ def test_passed_in_functionals_and_coefficients_change_nothing():
 
 def test_particles_outside_the_cut_box_freeze_forever(contraction_model):
     cfg = SimConfig(n_particles=2, horizon=1.0, steps_per_unit=100, cut_level=1.0, seed=0)
-    series = simulate(
-        contraction_model, None, cfg, Samples([[2.5], [0.5]]), keep_snapshots=True
+    series, snapshots = run_keeping_snapshots(
+        contraction_model, None, cfg, Samples([[2.5], [0.5]])
     )
-    final = series.snapshots[-1][1]
+    final = snapshots[-1][1]
     assert final[0, 0] == 2.5  # started outside D_1, never moved
     assert final[1, 0] == pytest.approx(0.5 * (1.0 - 0.01) ** 100, rel=1e-12)
     assert series.meta["p0_out_1"] == 0.5
@@ -462,8 +473,8 @@ def test_exit_records_set_once_and_nested(zero_model):
         exit_levels=(1, 2),
         seed=1,
     )
-    series = simulate(sc.model, None, cfg, UniformBox(-6.0, 6.0), keep_snapshots=True)
-    x0 = series.snapshots[0][1][:, 0]
+    series, snapshots = run_keeping_snapshots(sc.model, None, cfg, UniformBox(-6.0, 6.0))
+    x0 = snapshots[0][1][:, 0]
     for m in (1, 2, 4):
         frac0 = float(np.mean(~((x0 >= -m) & (x0 <= m))))
         assert series.meta[f"p0_out_{m}"] == frac0
@@ -479,10 +490,10 @@ def test_exit_records_set_once_and_nested(zero_model):
 
 def test_zero_model_is_inert(zero_model):
     cfg = SimConfig(n_particles=20, horizon=1.0, steps_per_unit=10, cut_level=2.0, seed=0)
-    series = simulate(zero_model, None, cfg, PointMass(0.0), keep_snapshots=True)
+    series, snapshots = run_keeping_snapshots(zero_model, None, cfg, PointMass(0.0))
     assert series.columns == ["t", "exit_frac_2"]
     assert all(row[1] == 0.0 for row in series.rows)
-    for _, snap in series.snapshots:
+    for _, snap in snapshots:
         assert (snap == 0.0).all()
 
 
@@ -523,34 +534,26 @@ def test_runs_are_bit_reproducible():
 def test_series_columns_track_snapshots():
     sc = builtin_scenario("example1-quartic")
     cfg = small_cfg(n_particles=100)
-    series = simulate(sc.model, sc.lyap, cfg, UniformBox(-1.0, 1.0), keep_snapshots=True)
+    series, snapshots = run_keeping_snapshots(
+        sc.model, sc.lyap, cfg, UniformBox(-1.0, 1.0)
+    )
     assert series.columns[:2] == ["t", "m4"]
+    assert series.columns[2:4] == ["v_mean", "v_band"]
     assert series.columns[-1] == "v_sup"
     m4 = series.column("m4")
     v_mean = series.column("v_mean")
+    v_band = series.column("v_band")
     v_sup = series.column("v_sup")
-    for i, (_, snap) in enumerate(series.snapshots):
-        assert m4[i] == pytest.approx(float(np.mean(snap[:, 0] ** 4)), rel=1e-12)
+    for i, (_, snap) in enumerate(snapshots):
+        v = snap[:, 0] ** 4
+        assert m4[i] == pytest.approx(float(np.mean(v)), rel=1e-12)
+        assert v_band[i] == 3.0 * float(np.std(v, ddof=1)) / math.sqrt(v.size)
     # v = x⁴ here, so v_mean is m4 and v_sup is its running maximum
     assert v_mean == pytest.approx(m4, rel=1e-12)
     assert v_sup == pytest.approx(np.maximum.accumulate(v_mean), rel=1e-12)
-
-
-def test_kept_snapshots_are_what_the_checkpoint_hook_sees():
-    sc = builtin_scenario("example1-quartic")
-    cfg = small_cfg(n_particles=50)
-    seen = []
-    simulate(
-        sc.model, None, cfg, UniformBox(-1.0, 1.0),
-        _on_checkpoint=lambda t, x: seen.append((t, x.tobytes())),
-    )
-    kept = simulate(sc.model, None, cfg, UniformBox(-1.0, 1.0), keep_snapshots=True)
-    assert seen == [(t, x.tobytes()) for t, x in kept.snapshots]
-    with pytest.raises(ValueError, match="hook"):
-        simulate(
-            sc.model, None, cfg, PointMass(1.0), keep_snapshots=True,
-            _on_checkpoint=lambda t, x: None,
-        )
+    # one particle has no spread to measure: its band is 0
+    lone = simulate(sc.model, sc.lyap, small_cfg(n_particles=1), UniformBox(-1.0, 1.0))
+    assert (lone.column("v_band") == 0.0).all()
 
 
 def test_csv_round_trip(tmp_path):
@@ -576,8 +579,8 @@ def test_deterministic_error_shrinks_with_the_grid(contraction_model):
         cfg = SimConfig(
             n_particles=1, horizon=1.0, steps_per_unit=n, cut_level=4.0, seed=0
         )
-        series = simulate(contraction_model, None, cfg, PointMass(1.0), keep_snapshots=True)
-        endpoint = series.snapshots[-1][1][0, 0]
+        _, snapshots = run_keeping_snapshots(contraction_model, None, cfg, PointMass(1.0))
+        endpoint = snapshots[-1][1][0, 0]
         assert endpoint == pytest.approx((1.0 - 1.0 / n) ** n, rel=1e-12)
         errors.append(abs(endpoint - math.exp(-1.0)))
     assert all(a > b for a, b in zip(errors, errors[1:]))
@@ -590,8 +593,8 @@ def test_second_moment_matches_the_discrete_recursion():
     cfg = SimConfig(
         n_particles=4000, horizon=1.0, steps_per_unit=50, cut_level=64.0, seed=0
     )
-    series = simulate(sc.model, None, cfg, PointMass(1.0), keep_snapshots=True)
-    final = series.snapshots[-1][1][:, 0]
+    _, snapshots = run_keeping_snapshots(sc.model, None, cfg, PointMass(1.0))
+    final = snapshots[-1][1][:, 0]
     expected = 1.0
     for _ in range(cfg.total_steps):
         expected = (1.0 - cfg.dt) ** 2 * expected + cfg.dt
@@ -642,14 +645,14 @@ def test_first_coupled_cloud_is_the_single_cloud_run(name):
     first, _, _ = coupled_simulate(
         sc.model, cfg, sc.default_init, PointMass(1.0), vbar=lambda z: z**2
     )
-    alone = simulate(sc.model, None, cfg, sc.default_init, keep_snapshots=True)
+    alone, snapshots = run_keeping_snapshots(sc.model, None, cfg, sc.default_init)
     assert first.rows == alone.rows
     noise = NoiseStream(cfg.seed)
     x0 = sc.default_init.sample(cfg.n_particles, sc.model.dim, noise)
     cloud = ParticleCloud.create(x0, sc.model, cfg.tracked_levels())
     for _ in range(cfg.total_steps):
         cloud = euler_step(cloud, sc.model, cfg, noise)
-    assert np.array_equal(cloud.x, alone.snapshots[-1][1])
+    assert np.array_equal(cloud.x, snapshots[-1][1])
 
 
 def test_no_steps_cloud_outlives_its_step(monkeypatch):
@@ -688,12 +691,25 @@ def cloud_state(c):
     return (c.step, c.x.tobytes(), {m: r.tobytes() for m, r in c.exit_step.items()})
 
 
-# step-noise purposes: one that every cloud shares, or one per cloud of a pair
-SHARED = (NoiseStream.PURPOSE_STEP,)
-INDEPENDENT = (NoiseStream.PURPOSE_STEP, NoiseStream.PURPOSE_STEP2)
+# step draws as (NoiseStream, purpose) pairs, for R clouds on seed
+# ``cfg.seed``: one pair that every cloud shares, a pair of clouds on two
+# purposes of one seed, or a replica block of R clouds on R seeds of their own
 
 
-def loop_states(model, cfg, clouds, purposes=SHARED):
+def shared(cfg, r):
+    return [(NoiseStream(cfg.seed), NoiseStream.PURPOSE_STEP)]
+
+
+def independent(cfg, r):
+    noise = NoiseStream(cfg.seed)
+    return [(noise, NoiseStream.PURPOSE_STEP), (noise, NoiseStream.PURPOSE_STEP2)]
+
+
+def seeded(cfg, r):
+    return [(NoiseStream(cfg.seed + j), NoiseStream.PURPOSE_STEP) for j in range(r)]
+
+
+def loop_states(model, cfg, clouds, draws=shared):
     """What ``_run_clouds`` hands ``observe``: step, positions, exit records."""
     states = []
 
@@ -704,32 +720,32 @@ def loop_states(model, cfg, clouds, purposes=SHARED):
         np.concatenate([c.x for c in clouds]), model, cfg.tracked_levels()
     )
     fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
-    _run_clouds(
-        model, cfg, NoiseStream(cfg.seed), block, fvs, observe, purposes=purposes
-    )
+    _run_clouds(model, cfg, draws(cfg, len(clouds)), block, fvs, observe)
     return states
 
 
-def hand_states(model, cfg, clouds, purposes=SHARED):
+def hand_states(model, cfg, clouds, draws=shared):
     """The same states from public ``euler_step``, allocating every array.
 
-    The first cloud draws its own increments on purpose 0. The others get
-    that draw, or with one purpose per cloud, the draw on their own purpose.
+    Each cloud steps on its own pair of ``draws``, or on the one pair they
+    all share: on purpose 0 it draws its own increments, as a lone run
+    does; on another purpose it is handed that draw.
     """
-    noise = NoiseStream(cfg.seed)
+    pairs = draws(cfg, len(clouds))
+    own = pairs if len(pairs) > 1 else pairs * len(clouds)
     marks = set(cfg.checkpoint_steps())
-    own = purposes if len(purposes) > 1 else purposes * len(clouds)
     states = []
     for i in range(cfg.total_steps):
         if i in marks:
             states.append([cloud_state(c) for c in clouds])
-        dws = [
-            noise.increments(i, clouds[0].n, model.noise_dim, cfg.dt, p)
-            for p in own[1:]
-        ]
-        clouds = [euler_step(clouds[0], model, cfg, noise)] + [
-            euler_step(c, model, cfg, noise, shared_dw=dw)
-            for c, dw in zip(clouds[1:], dws)
+        clouds = [
+            euler_step(c, model, cfg, noise)
+            if purpose == NoiseStream.PURPOSE_STEP
+            else euler_step(
+                c, model, cfg, noise,
+                shared_dw=noise.increments(i, c.n, model.noise_dim, cfg.dt, purpose),
+            )
+            for c, (noise, purpose) in zip(clouds, own)
         ]
     states.append([cloud_state(c) for c in clouds])  # the last step is a mark
     return states
@@ -889,11 +905,11 @@ def assert_loop_equals_hand_loop(model, x0, cut, levels):
             for j in range(r)
         ]
 
-    # a pair, three clouds, so the block is not checked with two only, and
-    # a pair on independent noise
-    for r, purposes in ((2, SHARED), (3, SHARED), (2, INDEPENDENT)):
-        got = loop_states(model, cfg, clouds(r), purposes)
-        want = hand_states(model, cfg, clouds(r), purposes)
+    # a pair, three clouds, so the block is not checked with two only, a
+    # pair on independent noise, and three replicas on seeds of their own
+    for r, draws in ((2, shared), (3, shared), (2, independent), (3, seeded)):
+        got = loop_states(model, cfg, clouds(r), draws)
+        want = hand_states(model, cfg, clouds(r), draws)
         assert len(got) == len(cfg.checkpoint_steps())
         assert len(got[0]) == r
         assert got == want
@@ -962,15 +978,16 @@ def test_engine_loop_blows_up_at_the_hand_loop_step():
 def loop_and_hand_faults(model, cfg, x0s):
     """The exception the loop raises for these clouds, and the one the
     per-cloud hand loop raises, as (type, step, message) each: one such
-    pair with the clouds sharing their noise, one on independent noise."""
+    pair with the clouds sharing their noise, one on independent noise and
+    one on seeds of their own."""
     faults = []
-    for purposes in (SHARED, INDEPENDENT):
+    for draws in (shared, independent, seeded):
         pair = []
         for run in (loop_states, hand_states):
             levels = cfg.tracked_levels()
             clouds = [ParticleCloud.create(x0, model, levels) for x0 in x0s]
             with pytest.raises((BlowUpError, FloatingPointError)) as ei:
-                run(model, cfg, clouds, purposes)
+                run(model, cfg, clouds, draws)
             error = ei.value
             pair.append((type(error), getattr(error, "step", None), str(error)))
         faults.append(pair)
