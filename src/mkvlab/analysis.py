@@ -39,7 +39,6 @@ from .simulate import (
     NoiseStream,
     SimConfig,
     _run_clouds,
-    _start,
     coupled_simulate,
     grid_steps,
     simulate,
@@ -196,9 +195,6 @@ def scheutzow_probe(
         raise ValueError("replica probe needs at least two seeds")
     if model.dim != 1:
         raise ValueError("replica probe compares laws by 1-d W1")
-    streams = [NoiseStream(int(s), cfg.stream) for s in seeds]
-    block = _start(model, cfg, [(init, s, NoiseStream.PURPOSE_INIT) for s in streams])
-    fvs = [evaluate_functionals(model.functionals, c.x) for c in block.split(len(seeds))]
     rhs = scale / math.sqrt(cfg.n_particles)
     pairs = {(a, b): [] for a in range(len(seeds)) for b in range(a + 1, len(seeds))}
 
@@ -212,8 +208,10 @@ def scheutzow_probe(
                 )
             )
 
-    draws = [(s, NoiseStream.PURPOSE_STEP) for s in streams]
-    _run_clouds(model, cfg, draws, block, fvs, observe)
+    clouds = [
+        (init, int(s), NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_STEP) for s in seeds
+    ]
+    _run_clouds(model, cfg, clouds, observe)
     rows = [row for pair in pairs.values() for row in pair]
     return CheckReport(f"inter-replica W1 agreement [{model.name}]", rows)
 

@@ -486,7 +486,7 @@ def cmd_lions_check(rc: RunConfig) -> int:
         w = report.worst()
         worst.append((uid, w.lhs if w else 0.0, report.passed()))
     with open(out / "lions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["function", "probe", "lhs", "rhs", "margin"])
         for uid, probe, lhs, rhs, margin in rows:
             writer.writerow([uid, probe, repr(lhs), repr(rhs), repr(margin)])
@@ -572,7 +572,7 @@ def cmd_wasserstein(rc: RunConfig, path_a: str, path_b: str) -> int:
     print(repr(dist))
     out = _out_dir(rc)
     with open(out / "wasserstein.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["p", "n_a", "n_b", "distance"])
         writer.writerow(
             [repr(rc.wasserstein_p), a.shape[0], b.shape[0], repr(dist)]

@@ -30,10 +30,12 @@ Two residual tests back the calculus against the particle dynamics:
   particles.
 
 Both residuals run on the engine's own time loop (``simulate._run_clouds``:
-cut coefficients, frozen exits, the noise layout, the reused workspace) and
-accumulate their generator terms in its per-step hook, which sees the
-coefficients that move the particles, evaluated once per step. The full
-residual's two clouds step as one block, each on its own noise purposes.
+cut coefficients, frozen exits, the noise layout, the reused workspace).
+Each names its clouds by initial law and noise keys, reads its step-0 values
+in the loop's step-0 ``observe``, and accumulates its generator terms in the
+per-step hook, which sees the coefficients that move the particles,
+evaluated once per step. The full residual's two clouds step as one block,
+each on its own noise purposes.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .lyapunov import CheckReport, CheckRow, LyapunovSpec
-from .measure import EmpiricalMeasure, evaluate_functionals
+from .measure import EmpiricalMeasure
 from .model import ModelSpec
 from .parallel import tree_mean
 from .simulate import (
@@ -56,10 +58,10 @@ from .simulate import (
     _base_meta,
     _mc_band,
     _run_clouds,
-    _start,
 )
 
 # unused here; bench/spans.py traces them by their names in this module
+from .measure import evaluate_functionals  # noqa: F401
 from .model import evaluate_coefficients  # noqa: F401
 from .simulate import euler_step  # noqa: F401
 
@@ -332,16 +334,12 @@ def ito_residual_measure(
     """
     if u.d_mu is None or u.dy_d_mu is None:
         raise ValueError(f"measure function {u.uid!r} lacks analytic derivatives")
-    noise = NoiseStream(cfg.seed, cfg.stream)
-    block = _start(model, cfg, [(init, noise, NoiseStream.PURPOSE_INIT)])
-    fvs = [evaluate_functionals(model.functionals, block.x)]
-    u0, acc, mart_var = u(block.x), 0.0, 0.0
-    rows = [[0.0, 0.0, 0.0]]
+    u0, acc, mart_var, rows = None, 0.0, 0.0, []
     # the hook's own arrays, written in place every step. Allocated and
     # freed per step, several N-sized arrays below glibc's mmap threshold
     # made it trim the top of the heap and fault it in again every step.
-    drift, trace = np.empty(block.n), np.empty(block.n)
-    sg = np.empty((block.n, model.noise_dim))
+    n = cfg.n_particles
+    drift, trace, sg = np.empty(n), np.empty(n), np.empty((n, model.noise_dim))
 
     def before_step(clouds, fvs, coefficients, dw):
         nonlocal acc, mart_var
@@ -358,12 +356,16 @@ def ito_residual_measure(
         mart_var += cfg.dt * float(tree_mean(trace)) / len(x)
 
     def observe(clouds, fvs):
+        nonlocal u0
         cloud = clouds[0]
         if cloud.step:
             rows.append([cloud.t, u(cloud.x) - u0 - acc, 3.0 * math.sqrt(mart_var)])
+        else:
+            u0 = u(cloud.x)
+            rows.append([0.0, 0.0, 0.0])
 
-    draws = [(noise, NoiseStream.PURPOSE_STEP)]
-    _run_clouds(model, cfg, draws, block, fvs, observe, hook=before_step)
+    lone = [(init, cfg.seed, NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_STEP)]
+    _run_clouds(model, cfg, lone, observe, hook=before_step)
     return DiagnosticsSeries(
         columns=["t", "R", "band"],
         rows=rows,
@@ -390,18 +392,8 @@ def ito_residual_full(
     mean across particles is centered; rows report that mean with a 3-sigma
     cross-particle band.
     """
-    noise = NoiseStream(cfg.seed, cfg.stream)
-    block = _start(
-        model, cfg,
-        [(init, noise, NoiseStream.PURPOSE_INIT), (init2 or init, noise, NoiseStream.PURPOSE_INIT2)],
-    )
-    clouds = block.split(2)
-    fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
-    # a copy: v may return a view of the positions, which the steps move
-    v0 = np.array(lyap.v(0.0, clouds[0].x, fvs[0]), dtype=float)
     n = cfg.n_particles
-    acc, mart = np.zeros(n), np.zeros(n)
-    rows = [[0.0, 0.0, 0.0]]
+    v0, acc, mart, rows = None, np.zeros(n), np.zeros(n), []
 
     def before_step(clouds, fvs, coefficients, dw):
         # the primary cloud's rows come first in the block, the companion's next
@@ -427,13 +419,21 @@ def ito_residual_full(
         mart += np.einsum("nd,ndk,nk->n", dvdx, s, dw[:n])
 
     def observe(clouds, fvs):
+        nonlocal v0
         cloud = clouds[0]
         if cloud.step:
             resid = _floats(lyap.v(cloud.t, cloud.x, fvs[0])) - v0 - acc - mart
             rows.append([cloud.t, float(tree_mean(resid)), _mc_band(resid)])
+        else:
+            # a copy: v may return a view of the positions, which the steps move
+            v0 = np.array(lyap.v(0.0, cloud.x, fvs[0]), dtype=float)
+            rows.append([0.0, 0.0, 0.0])
 
-    draws = [(noise, NoiseStream.PURPOSE_STEP), (noise, NoiseStream.PURPOSE_STEP2)]
-    _run_clouds(model, cfg, draws, block, fvs, observe, hook=before_step)
+    clouds = [
+        (init, cfg.seed, NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_STEP),
+        (init2 or init, cfg.seed, NoiseStream.PURPOSE_INIT2, NoiseStream.PURPOSE_STEP2),
+    ]
+    _run_clouds(model, cfg, clouds, observe, hook=before_step)
     return DiagnosticsSeries(
         columns=["t", "R", "band"],
         rows=rows,

@@ -359,7 +359,7 @@ class CheckReport:
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
+            w = csv.writer(fh, lineterminator="\n")
             w.writerow(["probe", "lhs", "rhs", "margin"])
             for r in self.rows:
                 w.writerow([r.probe, repr(r.lhs), repr(r.rhs), repr(r.margin)])

@@ -17,11 +17,13 @@ initial laws) are Philox raw words at the same key, random-access (see
 ``NoiseStream``).
 
 The engine is serial: ``simulate``, ``coupled_simulate``, the replica probe
-and the Itô residuals share one time loop. A run draws its clouds (one, a
-coupled pair, an Itô pair on independent noise, or replicas on seeds of
-their own) into one block of rows at step 0, and that block is the run's
-only particle state: each step draws the increments into one buffer and
-advances the whole block in place with one ``euler_step``.
+and the Itô residuals share one time loop, ``_run_clouds``. A run names its
+clouds (one, a coupled pair, an Itô pair on independent noise, or replicas
+on seeds of their own) by initial law and noise keys, and the engine draws
+them into one block of rows at step 0. That block is the run's only
+particle state: each step draws the increments into one buffer, once per
+distinct step key, and advances the whole block in place with one
+``euler_step``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import lyapunov
 from .measure import evaluate_functionals
 from .model import ModelSpec, evaluate_coefficients, ladder_level
 from .parallel import tree_mean
@@ -634,20 +637,13 @@ def _series_columns(model, lyap, levels) -> list:
 
 
 class _Recorder:
-    """Accumulates checkpoint rows for one cloud."""
+    """Accumulates checkpoint rows for one cloud. Its t = 0 row sets ``ev0``,
+    the measured E v(0, x₀) that seeds the envelopes (0.0 without ``lyap``)."""
 
-    def __init__(self, model, lyap, cfg, ev0):
-        # imported here, not at module level, so that each recorder binds
-        # what mkvlab.lyapunov holds when it is built: the benchmark's
-        # tracer (bench/spans.py) replaces both there after import
-        from .lyapunov import envelope_M, envelope_Mplus
-
-        self._envelope_M = envelope_M
-        self._envelope_Mplus = envelope_Mplus
+    def __init__(self, model, lyap, cfg):
         self.model = model
         self.lyap = lyap
-        self.cfg = cfg
-        self.ev0 = ev0
+        self.ev0 = 0.0
         self.levels = cfg.tracked_levels()
         self.columns = _series_columns(model, lyap, self.levels)
         self.rows = []
@@ -658,12 +654,16 @@ class _Recorder:
         if self.lyap is not None:
             v = np.asarray(self.lyap.v(cloud.t, cloud.x, fv), dtype=float)
             v_mean = float(tree_mean(v))
+            if not self.rows:
+                self.ev0 = v_mean
             self.v_sup = max(self.v_sup, v_mean)
+            # looked up at call time: the benchmark's tracer
+            # (bench/spans.py) wraps both in mkvlab.lyapunov after import
             row += [
                 v_mean,
                 _mc_band(v),
-                self._envelope_M(self.lyap, self.ev0, cloud.t),
-                self._envelope_Mplus(self.lyap, self.ev0, cloud.t),
+                lyapunov.envelope_M(self.lyap, self.ev0, cloud.t),
+                lyapunov.envelope_Mplus(self.lyap, self.ev0, cloud.t),
             ]
         row += [cloud.exit_fraction(m) for m in self.levels]
         if self.lyap is not None:
@@ -682,47 +682,58 @@ def _base_meta(model, cfg) -> dict:
     }
 
 
-def _run_clouds(model, cfg, draws, block, fvs, observe, hook=None) -> None:
-    """The time loop of ``simulate``, ``coupled_simulate``, the replica
-    probe of ``mkvlab.analysis`` and the Itô residuals of ``mkvlab.lions``.
+def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
+    """The time loop and the engine's one entry: every driver (``simulate``,
+    ``coupled_simulate``, ``analysis.scheutzow_probe``, the Itô residuals of
+    ``mkvlab.lions``) names its clouds and observes them.
 
-    ``block`` is the run's step-0 block of R clouds of N rows each, in
-    order, with R = ``len(fvs)`` and ``fvs`` each cloud's functional values
-    at step 0. Each step is one ``euler_step`` that advances the block in
-    place, so the step's fixed cost is paid once, not per cloud, and the
-    block is the run's only particle state. ``draws`` holds the step noise's
-    (``NoiseStream``, purpose) pairs: with one, every cloud shares its draw,
-    and particle i of every cloud moves with increment i, so a lone cloud
-    gets the very draw ``euler_step`` would make for itself; with R, cloud j
-    draws on its own pair into its own rows of one (R·N, d') buffer. Before
-    each step the loop evaluates the block's cut coefficients into the
-    workspace and hands them to ``euler_step``;
-    ``hook(clouds, fvs, (b, σ), dw)``, if given, sees them first, with the
-    pre-step clouds, their functional values and the step's increments.
-    After each step the loop reduces every cloud's functionals on its own
-    rows, for the next step. At every checkpoint step (the checkpoints
-    always include step 0) ``observe(clouds, fvs)`` is called. ``observe``
-    and ``hook`` see each cloud as a ``ParticleCloud`` view of its rows of
-    the block.
+    ``clouds`` holds one (law, seed, init purpose, step purpose) per cloud,
+    all on ``cfg.stream``. The laws draw their N rows each, in order, into
+    one step-0 block, the run's only particle state; each step is one
+    ``euler_step`` that advances it in place, so the step's fixed cost is
+    paid once, not per cloud. A draw is a pure function of its key, so the
+    step noise is drawn once per distinct (seed, step purpose): clouds that
+    all have one key share an N-row draw (particle i of every cloud moves
+    with increment i, the very draw a lone ``euler_step`` makes); otherwise
+    each cloud has its rows of one (R·N, d') buffer, copied from the first
+    cloud with its key. Each cloud gets the numbers of its lone run.
 
-    The loop owns its memory: one noise buffer, one ``_Workspace`` for the
-    block that the coefficients and ``euler_step`` write into, and one
-    buffer the expected shortfall partitions in, so a step allocates no
-    N-sized array of its own beyond what the model's coefficient callables
-    return and the masks its box tests make. ``observe`` and ``hook`` see
-    arrays that later steps overwrite; they copy what they keep.
+    ``observe(clouds, fvs)`` is called at every checkpoint step, step 0
+    included, where a driver reads its step-0 values; ``hook(clouds, fvs,
+    (b, σ), dw)``, if given, before each step, with the cut coefficients
+    the step will use and its increments. Both see each cloud as a
+    ``ParticleCloud`` view of its rows of the block and its functional
+    values, reduced on those rows, in arrays that later steps overwrite:
+    they copy what they keep. The loop owns its memory (the noise buffer,
+    one ``_Workspace``, the expected shortfall's scratch), so a step
+    allocates no N-sized array of its own beyond what the model's
+    coefficient callables return and its box tests' masks.
     """
-    marks = set(cfg.checkpoint_steps())
-    r = len(fvs)
-    n = block.n // r
+    n, r = cfg.n_particles, len(clouds)
+    streams = {seed: NoiseStream(seed, cfg.stream) for _, seed, _, _ in clouds}
+    block = ParticleCloud.create(
+        np.concatenate(
+            [law.sample(n, model.dim, streams[seed], init) for law, seed, init, _ in clouds]
+        ),
+        model, cfg.tracked_levels(),
+    )
     rows = [slice(j * n, (j + 1) * n) for j in range(r)]
-    dw, scratch = np.empty((len(draws) * n, model.noise_dim)), np.empty(n)
-    outs = [(noise, purpose, dw[j]) for (noise, purpose), j in zip(draws, rows)]
+    keys = [(seed, step) for _, seed, _, step in clouds]
+    if len(set(keys)) == 1:
+        keys = keys[:1]
+    dw, scratch = np.empty((len(keys) * n, model.noise_dim)), np.empty(n)
+    first = {key: rows[keys.index(key)] for key in keys}
+    draws = [(streams[seed], step, dw[j]) for (seed, step), j in first.items()]
+    copies = [(dw[first[key]], dw[j]) for key, j in zip(keys, rows) if first[key] != j]
     work = _Workspace(block.n, model)
+    fvs = [evaluate_functionals(model.functionals, block.x[j]) for j in rows]
+    marks = set(cfg.checkpoint_steps())
     observe(block.split(r), fvs)
     for i in range(cfg.total_steps):
-        for noise, purpose, out in outs:
+        for noise, purpose, out in draws:
             noise.increments(i, n, model.noise_dim, cfg.dt, purpose, out=out)
+        for src, dst in copies:
+            np.copyto(dst, src)
         coefficients = evaluate_coefficients(
             model, block.t, block.x, fvs, cfg.cut_level, out=work.coefficients
         )
@@ -743,25 +754,6 @@ def _run_clouds(model, cfg, draws, block, fvs, observe, hook=None) -> None:
             observe(block.split(r), fvs)
 
 
-def _start(model, cfg, clouds) -> ParticleCloud:
-    """The step-0 block of one cloud per (law, ``NoiseStream``, purpose) of
-    ``clouds``: each law draws its N rows on its own stream and purpose."""
-    x0 = np.concatenate(
-        [
-            law.sample(cfg.n_particles, model.dim, noise, purpose)
-            for law, noise, purpose in clouds
-        ]
-    )
-    return ParticleCloud.create(x0, model, cfg.tracked_levels())
-
-
-def _ev0(lyap, cloud, fv) -> float:
-    """The measured E v(0, x₀) that seeds the envelopes; 0 without ``lyap``."""
-    if lyap is None:
-        return 0.0
-    return lyap.mean_v(0.0, cloud.x, fv)
-
-
 def simulate(
     model: ModelSpec,
     lyap,
@@ -779,22 +771,21 @@ def simulate(
     ``_on_checkpoint(t, x)`` at every checkpoint with a view of the
     positions that later steps overwrite, and copies what it keeps.
     """
-    noise = NoiseStream(cfg.seed, cfg.stream)
-    block = _start(model, cfg, [(init, noise, NoiseStream.PURPOSE_INIT)])
-    fvs = [evaluate_functionals(model.functionals, block.x)]
-    ev0 = _ev0(lyap, block, fvs[0])
-    rec = _Recorder(model, lyap, cfg, ev0)
+    rec = _Recorder(model, lyap, cfg)
     meta = _base_meta(model, cfg)
-    meta["ev0"] = ev0
-    for m in cfg.tracked_levels():
-        meta[f"p0_out_{m:g}"] = block.exit_fraction(m)
 
     def observe(clouds, fvs):
-        rec.record(clouds[0], fvs[0])
+        cloud = clouds[0]
+        rec.record(cloud, fvs[0])
+        if not cloud.step:
+            meta["ev0"] = rec.ev0
+            for m in rec.levels:
+                meta[f"p0_out_{m:g}"] = cloud.exit_fraction(m)
         if _on_checkpoint is not None:
-            _on_checkpoint(clouds[0].t, clouds[0].x)
+            _on_checkpoint(cloud.t, cloud.x)
 
-    _run_clouds(model, cfg, [(noise, NoiseStream.PURPOSE_STEP)], block, fvs, observe)
+    lone = [(init, cfg.seed, NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_STEP)]
+    _run_clouds(model, cfg, lone, observe)
     return DiagnosticsSeries(columns=rec.columns, rows=rec.rows, meta=meta)
 
 
@@ -804,7 +795,6 @@ def coupled_simulate(
     init1: InitialLaw,
     init2: InitialLaw,
     vbar: Callable[[np.ndarray], np.ndarray],
-    lyap=None,
 ):
     """Evolve two clouds under shared noise; track E v̄(x¹ − x²).
 
@@ -815,20 +805,8 @@ def coupled_simulate(
     of the difference when d > 1, since the shipped kernels are radial), and
     band is its 3-sigma cross-particle Monte Carlo width.
     """
-    noise = NoiseStream(cfg.seed, cfg.stream)
-    # A distinct purpose id keeps the second cloud's *initial* draw
-    # independent while step noise stays shared.
-    block = _start(
-        model, cfg,
-        [(init1, noise, NoiseStream.PURPOSE_INIT), (init2, noise, NoiseStream.PURPOSE_INIT2)],
-    )
-    clouds = block.split(2)
-    fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
-    recs = [
-        _Recorder(model, lyap, cfg, _ev0(lyap, c, fv)) for c, fv in zip(clouds, fvs)
-    ]
+    recs = [_Recorder(model, None, cfg) for _ in (1, 2)]
     metas = [{**_base_meta(model, cfg), "coupled_member": j} for j in (1, 2)]
-
     dist_rows = []
 
     def observe(clouds, fvs):
@@ -839,7 +817,14 @@ def coupled_simulate(
         values = np.asarray(vbar(z), dtype=float)
         dist_rows.append([clouds[0].t, float(tree_mean(values)), _mc_band(values)])
 
-    _run_clouds(model, cfg, [(noise, NoiseStream.PURPOSE_STEP)], block, fvs, observe)
+    # the second cloud's own init purpose keeps its *initial* draw
+    # independent; the equal step keys share one draw
+    step = NoiseStream.PURPOSE_STEP
+    clouds = [
+        (init1, cfg.seed, NoiseStream.PURPOSE_INIT, step),
+        (init2, cfg.seed, NoiseStream.PURPOSE_INIT2, step),
+    ]
+    _run_clouds(model, cfg, clouds, observe)
 
     series = [
         DiagnosticsSeries(columns=r.columns, rows=r.rows, meta=m)

@@ -6,6 +6,9 @@ functions by module and attribute name. Renaming or deleting any of these
 fails here rather than in a benchmark run.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -135,3 +138,26 @@ def test_cir_output_check_reads_the_emitted_files(bench, tmp_path):
     files = {a: (out / a).read_bytes() for a in ("diagnostics.csv", "summary.txt")}
     assert b"v_band" in files["diagnostics.csv"].splitlines()[0]
     assert workloads.check_cir(files, rc) == []
+
+
+def test_setup_probe_reports_its_three_timings_for_every_workload(bench, tmp_path):
+    # the benchmark's setup_s is what bench/probe.py prints, run in a fresh
+    # interpreter on each workload's config text with src on PYTHONPATH
+    _, workloads = bench
+    src = BENCH.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p
+    )
+    for name in sorted(workloads.WHY):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(workloads.config_text(name, 0))
+        done = subprocess.run(
+            [sys.executable, str(BENCH / "probe.py"), str(cfg)],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert done.returncode == 0, (name, done.stderr)
+        report = json.loads(done.stdout)
+        for key in ("import_s", "scenario_s", "init_s"):
+            assert report[key] >= 0.0, (name, key)
+        assert Path(report["module"]).resolve().is_relative_to(src), name

@@ -583,3 +583,44 @@ def test_wasserstein_rejects_matrix_input(tmp_path, capsys):
     b.write_text("0.0\n1.0\n")
     assert main(["wasserstein", str(a), str(b), "--out", str(tmp_path / "w2")]) == 2
     assert "one-dimensional" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# emitted files
+# ---------------------------------------------------------------------------
+
+
+def test_every_csv_ends_its_lines_with_a_bare_newline(tmp_path):
+    # csv.writer's default line end is CRLF; every CSV writes LF alone
+    small = (
+        "sim.n_particles = 64\n"
+        "sim.steps_per_unit = 50\n"
+        "sim.cut_level = 8.0\n"
+        "lyapunov.probes = 4\n"
+        "lyapunov.probe_atoms = 8\n"
+        "lions.atoms = 8\n"
+    )
+    samples = tmp_path / "a.txt"
+    samples.write_text("0.0\n1.0\n2.0\n3.0\n")
+    runs = {
+        "simulate": ("example1-quartic", []),
+        "stability": ("linear-meanfield", []),
+        "stationary": ("example1-quartic", []),
+        "lions-check": ("example1-quartic", []),
+        "lyapunov-check": ("example3-cir", []),
+        "wasserstein": ("example1-quartic", [str(samples), str(samples)]),
+    }
+    assert set(runs) == set(EXPERIMENTS)
+    for command, (scenario, args) in runs.items():
+        cfg = write_cfg(
+            tmp_path,
+            f"scenario.name = {scenario}\nsim.horizon = 0.5\n"
+            "stationary.horizons = 1.0 2.0\n" + small,
+            name=f"{command}.cfg",
+        )
+        out = tmp_path / command
+        assert main([command, *args, "--config", cfg, "--out", str(out)]) == 0
+        csvs = sorted(out.glob("*.csv"))
+        assert csvs, command
+        for path in csvs:
+            assert b"\r" not in path.read_bytes(), path.name

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from mkvlab.analysis import scheutzow_probe
+from mkvlab.lions import ito_residual_full, ito_residual_measure, moment_function
 from mkvlab.measure import evaluate_functionals
 from mkvlab.model import (
     DomainLadder,
@@ -16,7 +18,7 @@ from mkvlab.model import (
     ModelSpec,
     evaluate_coefficients,
 )
-from mkvlab.scenarios import builtin_scenario
+from mkvlab.scenarios import builtin_scenario, scenario_names
 from mkvlab.simulate import (
     BlowUpError,
     NoiseStream,
@@ -691,64 +693,139 @@ def cloud_state(c):
     return (c.step, c.x.tobytes(), {m: r.tobytes() for m, r in c.exit_step.items()})
 
 
-# step draws as (NoiseStream, purpose) pairs, for R clouds on seed
-# ``cfg.seed``: one pair that every cloud shares, a pair of clouds on two
-# purposes of one seed, or a replica block of R clouds on R seeds of their own
+# step keys as (seed, step purpose) per cloud, for R clouds on seed
+# ``cfg.seed``: one key that every cloud shares, a pair of clouds on two
+# purposes of one seed, a replica block of R clouds on R seeds of their own,
+# or replicas on two seeds in turn, so that a later cloud repeats a key
 
 
 def shared(cfg, r):
-    return [(NoiseStream(cfg.seed), NoiseStream.PURPOSE_STEP)]
+    return [(cfg.seed, NoiseStream.PURPOSE_STEP)] * r
 
 
 def independent(cfg, r):
-    noise = NoiseStream(cfg.seed)
-    return [(noise, NoiseStream.PURPOSE_STEP), (noise, NoiseStream.PURPOSE_STEP2)]
+    return [(cfg.seed, NoiseStream.PURPOSE_STEP), (cfg.seed, NoiseStream.PURPOSE_STEP2)]
 
 
 def seeded(cfg, r):
-    return [(NoiseStream(cfg.seed + j), NoiseStream.PURPOSE_STEP) for j in range(r)]
+    return [(cfg.seed + j, NoiseStream.PURPOSE_STEP) for j in range(r)]
 
 
-def loop_states(model, cfg, clouds, draws=shared):
-    """What ``_run_clouds`` hands ``observe``: step, positions, exit records."""
+def repeated(cfg, r):
+    return [(cfg.seed + j % 2, NoiseStream.PURPOSE_STEP) for j in range(r)]
+
+
+def loop_states(model, cfg, clouds, keys=shared):
+    """What ``_run_clouds`` hands ``observe``: step, positions, exit records.
+
+    The engine builds the block itself: each cloud enters as a ``Samples``
+    law of its positions with its step key from ``keys``.
+    """
     states = []
 
     def observe(clouds, fvs):
         states.append([cloud_state(c) for c in clouds])
 
-    block = ParticleCloud.create(
-        np.concatenate([c.x for c in clouds]), model, cfg.tracked_levels()
-    )
-    fvs = [evaluate_functionals(model.functionals, c.x) for c in clouds]
-    _run_clouds(model, cfg, draws(cfg, len(clouds)), block, fvs, observe)
+    named = [
+        (Samples(c.x), seed, NoiseStream.PURPOSE_INIT, step)
+        for c, (seed, step) in zip(clouds, keys(cfg, len(clouds)))
+    ]
+    _run_clouds(model, cfg, named, observe)
     return states
 
 
-def hand_states(model, cfg, clouds, draws=shared):
+def hand_states(model, cfg, clouds, keys=shared):
     """The same states from public ``euler_step``, allocating every array.
 
-    Each cloud steps on its own pair of ``draws``, or on the one pair they
-    all share: on purpose 0 it draws its own increments, as a lone run
-    does; on another purpose it is handed that draw.
+    Each cloud steps on its own key of ``keys``: on purpose 0 it draws its
+    own increments, as a lone run does; on another purpose it is handed
+    that draw.
     """
-    pairs = draws(cfg, len(clouds))
-    own = pairs if len(pairs) > 1 else pairs * len(clouds)
     marks = set(cfg.checkpoint_steps())
     states = []
     for i in range(cfg.total_steps):
         if i in marks:
             states.append([cloud_state(c) for c in clouds])
         clouds = [
-            euler_step(c, model, cfg, noise)
+            euler_step(c, model, cfg, NoiseStream(seed))
             if purpose == NoiseStream.PURPOSE_STEP
             else euler_step(
-                c, model, cfg, noise,
-                shared_dw=noise.increments(i, c.n, model.noise_dim, cfg.dt, purpose),
+                c, model, cfg, None,
+                shared_dw=NoiseStream(seed).increments(
+                    i, c.n, model.noise_dim, cfg.dt, purpose
+                ),
             )
-            for c, (noise, purpose) in zip(clouds, own)
+            for c, (seed, purpose) in zip(clouds, keys(cfg, len(clouds)))
         ]
     states.append([cloud_state(c) for c in clouds])  # the last step is a mark
     return states
+
+
+def test_engine_draws_step_noise_once_per_distinct_step_key(monkeypatch):
+    # a draw is a pure function of its key, so clouds with one key share a
+    # draw and the engine works the sharing out from the clouds' keys
+    sc = builtin_scenario("linear-meanfield")
+    cfg = small_cfg()
+    calls = []
+    increments = NoiseStream.increments
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return increments(self, *args, **kwargs)
+
+    monkeypatch.setattr(NoiseStream, "increments", counted)
+    pair = (PointMass(0.0), PointMass(1.0))
+    runs = {
+        "simulate": (lambda: simulate(sc.model, sc.lyap, cfg, sc.default_init), 1),
+        "coupled": (lambda: coupled_simulate(sc.model, cfg, *pair, lambda z: z**2), 1),
+        "ito-measure": (
+            lambda: ito_residual_measure(
+                moment_function(2), sc.model, cfg, sc.default_init
+            ),
+            1,
+        ),
+        "ito-full": (lambda: ito_residual_full(sc.lyap, sc.model, cfg, sc.default_init), 2),
+        "probe(0, 1, 2)": (
+            lambda: scheutzow_probe(sc.model, cfg, (0, 1, 2), sc.default_init), 3
+        ),
+        "probe(4, 4)": (lambda: scheutzow_probe(sc.model, cfg, (4, 4), sc.default_init), 1),
+        "probe(4, 5, 4)": (
+            lambda: scheutzow_probe(sc.model, cfg, (4, 5, 4), sc.default_init), 2
+        ),
+    }
+    for name, (run, per_step) in runs.items():
+        calls.clear()
+        run()
+        assert len(calls) == per_step * cfg.total_steps, name
+
+
+@pytest.mark.parametrize("name", ["scheutzow-clip", "linear-meanfield"])
+def test_replicas_on_one_seed_never_separate(name):
+    # two replicas on seed 4 share every draw: at every checkpoint their
+    # laws are equal, whether or not a replica on another seed joins them
+    sc = builtin_scenario(name)
+    cfg = small_cfg()
+    lone = scheutzow_probe(sc.model, cfg, (4, 4), sc.default_init)
+    assert len(lone.rows) == len(cfg.checkpoint_steps())
+    assert all(row.lhs == 0.0 for row in lone.rows)
+    trio = scheutzow_probe(sc.model, cfg, (4, 5, 4), sc.default_init)
+    same = [row for row in trio.rows if row.probe.endswith("rep(4,4)")]
+    assert len(same) == len(cfg.checkpoint_steps())
+    assert all(row.lhs == 0.0 for row in same)
+    assert any(row.lhs > 0.0 for row in trio.rows)
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_ev0_is_the_measured_mean_of_v_at_step_zero(name):
+    # the recorder's row-0 v_mean is the E v(0, x₀) that seeds the envelopes
+    sc = builtin_scenario(name)
+    cfg = small_cfg(n_particles=200)
+    series = simulate(sc.model, sc.lyap, cfg, sc.default_init)
+    x0 = sc.default_init.sample(cfg.n_particles, sc.model.dim, NoiseStream(cfg.seed))
+    fv0 = evaluate_functionals(sc.model.functionals, x0)
+    assert series.meta["ev0"] == sc.lyap.mean_v(0.0, x0, fv0)
+    assert series.rows[0][series.columns.index("v_mean")] == series.meta["ev0"]
+    assert simulate(sc.model, None, cfg, sc.default_init).meta["ev0"] == 0.0
 
 
 def rows(*groups):
@@ -906,10 +983,12 @@ def assert_loop_equals_hand_loop(model, x0, cut, levels):
         ]
 
     # a pair, three clouds, so the block is not checked with two only, a
-    # pair on independent noise, and three replicas on seeds of their own
-    for r, draws in ((2, shared), (3, shared), (2, independent), (3, seeded)):
-        got = loop_states(model, cfg, clouds(r), draws)
-        want = hand_states(model, cfg, clouds(r), draws)
+    # pair on independent noise, three replicas on seeds of their own, and
+    # three whose third repeats the first one's seed
+    cases = ((2, shared), (3, shared), (2, independent), (3, seeded), (3, repeated))
+    for r, keys in cases:
+        got = loop_states(model, cfg, clouds(r), keys)
+        want = hand_states(model, cfg, clouds(r), keys)
         assert len(got) == len(cfg.checkpoint_steps())
         assert len(got[0]) == r
         assert got == want
@@ -981,13 +1060,13 @@ def loop_and_hand_faults(model, cfg, x0s):
     pair with the clouds sharing their noise, one on independent noise and
     one on seeds of their own."""
     faults = []
-    for draws in (shared, independent, seeded):
+    for keys in (shared, independent, seeded):
         pair = []
         for run in (loop_states, hand_states):
             levels = cfg.tracked_levels()
             clouds = [ParticleCloud.create(x0, model, levels) for x0 in x0s]
             with pytest.raises((BlowUpError, FloatingPointError)) as ei:
-                run(model, cfg, clouds, draws)
+                run(model, cfg, clouds, keys)
             error = ei.value
             pair.append((type(error), getattr(error, "step", None), str(error)))
         faults.append(pair)
