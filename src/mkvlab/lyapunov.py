@@ -447,7 +447,7 @@ def check_local_bound(
         for k in levels:
             lo, hi = model.ladder.box(k)
             pts = [cloud[model.ladder.contains(cloud, k)]]
-            if model.dim == 1 and np.isfinite(lo[0]) and np.isfinite(hi[0]):
+            if model.dim == 1:  # boxes are bounded: they lie inside the open D
                 pts.append(np.linspace(lo[0], hi[0], grid_points)[:, None])
             xs = np.concatenate([p for p in pts if p.size], axis=0)
             if not xs.size:

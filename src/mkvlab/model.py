@@ -106,13 +106,15 @@ class DomainLadder:
     # -- membership --------------------------------------------------------
 
     def box(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The closed box D_k as read-only (lower, upper) arrays."""
+        """The closed box D_k ⊂ D as read-only (lower, upper) arrays."""
         k = ladder_level(k)
         if k < 1:
             raise ValueError("ladder level must be >= 1")
         cached = self._boxes.get(k)
         if cached is None:
             cached = tuple(np.array(end, dtype=float) for end in self.rule(k))
+            if not ((cached[0] > self.lower).all() and (cached[1] < self.upper).all()):
+                raise ValueError(f"D_{k} = {cached} is not inside the open domain D")
             for end in cached:
                 end.flags.writeable = False
             self._boxes[k] = cached
@@ -252,6 +254,7 @@ def evaluate_coefficients(
     fv: dict | list,
     cut_level: int | None = None,
     out: tuple[np.ndarray, np.ndarray] | None = None,
+    *, _alive: np.ndarray | bool | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate (b, σ) at (t, x, fv), zeroed outside D_k and outside D.
 
@@ -268,6 +271,10 @@ def evaluate_coefficients(
 
     ``out`` = (b, σ) buffers of those shapes receive the result, which is
     then returned; otherwise fresh arrays are. The values are the same.
+
+    ``_alive``, for the Euler engine only, is the mask of the rows not yet
+    out of D_k (or True for all): it replaces both box tests and the check
+    of ``fv``'s keys.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -275,19 +282,16 @@ def evaluate_coefficients(
     fvs = [fv] if isinstance(fv, dict) else fv
     if x.shape[0] % len(fvs):
         raise ValueError(f"{x.shape[0]} rows do not split into {len(fvs)} clouds")
-    keys = model.functional_keys()
-    for f in fvs:
-        missing = [k for k in keys if k not in f]
-        if missing:
-            raise ValueError(f"missing functional values: {missing}")
-
-    ladder = model.ladder
-    if cut_level is None:
-        alive = ladder.contains(x)
-    else:
-        alive = ladder.contains(x, cut_level)
-        if not ladder.whole_space:
-            alive &= ladder.contains(x)
+    alive = _alive
+    if alive is None:
+        keys = model.functional_keys()
+        for f in fvs:
+            missing = [k for k in keys if k not in f]
+            if missing:
+                raise ValueError(f"missing functional values: {missing}")
+        # D_k lies inside D; with no cut level, contains tests D itself
+        alive = model.ladder.contains(x, cut_level)
+        alive = True if alive.all() else alive
 
     shape_b = (x.shape[0], model.dim)
     if out is None:
@@ -301,7 +305,7 @@ def evaluate_coefficients(
             rows = slice(j * n, (j + 1) * n)
             np.copyto(out[0][rows], np.asarray(model.drift(t, x[rows], f), float))
             np.copyto(out[1][rows], np.asarray(model.diffusion(t, x[rows], f), float))
-    if not alive.all():
+    if alive is not True:
         dead = ~alive
         np.copyto(out[0], 0.0, where=dead[:, None])
         np.copyto(out[1], 0.0, where=dead[:, None, None])

@@ -4,7 +4,7 @@ Floating-point sums are not associative, so every particle reduction fixes
 its grouping once and for all:
 
 * arrays are cut into blocks of ``BLOCK`` consecutive particles,
-* each block is summed by numpy on its own,
+* each block is summed by numpy on its own (a lone block in one call),
 * block partials are folded pairwise in block-index order.
 
 Changing the grouping changes rounding, and with it every emitted byte.
@@ -41,6 +41,8 @@ def tree_sum(values: np.ndarray):
     n = values.shape[0]
     if n == 0:
         return np.zeros(values.shape[1:], dtype=values.dtype)
+    if n <= BLOCK:
+        return values.sum(axis=0)
     flat = values.ndim == 1 and values.flags.c_contiguous
     if flat and values.dtype == np.float64:
         # The full blocks as the rows of one array: numpy sums each row

@@ -397,7 +397,7 @@ class ParticleCloud:
 
     ``exit_step[m][i]`` is the first grid index at which particle i was seen
     outside D_m (0 if it started there), or −1 while it has not exited. The
-    record is monotone: set once, never unset.
+    record is monotone: set once, never unset. Levels run inside out.
     """
 
     x: np.ndarray
@@ -407,10 +407,14 @@ class ParticleCloud:
 
     @staticmethod
     def create(x0: np.ndarray, model: ModelSpec, levels) -> "ParticleCloud":
-        """A step-0 cloud that owns a copy of ``x0``."""
+        """A step-0 cloud that owns a copy of ``x0``; ``levels`` run inside out."""
         x0 = np.array(x0, dtype=float)
         if x0.ndim == 1:
             x0 = x0[:, None]
+        for m, m2 in zip(levels, levels[1:]):
+            (lo, hi), (lo2, hi2) = model.ladder.box(m), model.ladder.box(m2)
+            if (lo < lo2).any() or (hi > hi2).any():
+                raise ValueError(f"levels must nest: D_{m} is not inside D_{m2}")
         exit_step = {}
         for m in levels:
             rec = np.full(x0.shape[0], -1, dtype=np.int64)
@@ -456,12 +460,32 @@ class ParticleCloud:
         rec = self.exit_step[m]
         return float(np.count_nonzero(rec >= 0)) / rec.shape[0]
 
-    def update_exits(self, model: ModelSpec, step: int) -> None:
+    def update_exits(self, model: ModelSpec, step: int) -> int:
         """Stamp ``step``, in place, on particles seen outside D_m for the
-        first time."""
-        for m, rec in self.exit_step.items():
-            fresh = (rec < 0) & ~model.ladder.contains(self.x, m)
-            np.copyto(rec, step, where=fresh)
+        first time; return how many it stamped at the outermost level. As
+        the boxes nest, the innermost is tested on every row, and the outer
+        ones on the rows outside it if those are few (at most 1/32)."""
+        rows, few, stamped = None, False, 0
+        for j, (m, rec) in enumerate(self.exit_step.items()):
+            if not few:  # every row: a mask of the cloud
+                inside = model.ladder.contains(self.x, m)
+                n_out = inside.size - np.count_nonzero(inside)
+                if not n_out:
+                    return 0  # every row is inside the outer boxes too
+                fresh = rec < 0
+                np.greater(fresh, inside, out=fresh)  # fresh & ~inside
+                stamped = np.count_nonzero(fresh)
+                if stamped:
+                    np.copyto(rec, step, where=fresh)
+                # past 1/32 of the rows, gathering costs more than masks
+                few = not j and 32 * n_out <= inside.size
+            else:  # by index, the rows outside the box within this one
+                rows = np.flatnonzero(~inside) if rows is None else rows
+                rows = rows[~model.ladder.contains(self.x.take(rows, axis=0), m)]
+                fresh = rows[rec[rows] < 0]
+                rec[fresh] = step
+                stamped = fresh.size
+        return stamped
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +498,15 @@ class _Workspace:
     writes into instead of fresh arrays: the cut coefficients (b, σ) that
     ``evaluate_coefficients(out=)`` fills, the update's scratch term
     ``kick`` and the finiteness mask ``finite``. Positions and exit records
-    need none: the step advances them in place."""
+    need none: the step advances them in place, and counts in ``cut_exits``
+    the rows it stamped at the cut level."""
 
     def __init__(self, n: int, model: ModelSpec):
         d = model.dim
         self.coefficients = (np.empty((n, d)), np.empty((n, d, model.noise_dim)))
         self.kick = np.empty((n, d))
         self.finite = np.empty((n, d), dtype=bool)
+        self.cut_exits = 0
 
 
 def _displace(x, b, s, dw, dt, kick) -> None:
@@ -574,7 +600,7 @@ def euler_step(
         )
     cloud.step += 1
     cloud.t = cloud.step / cfg.steps_per_unit
-    cloud.update_exits(model, cloud.step)
+    work.cut_exits = cloud.update_exits(model, cloud.step)
     return cloud
 
 
@@ -707,7 +733,10 @@ def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
     they copy what they keep. The loop owns its memory (the noise buffer,
     one ``_Workspace``, the expected shortfall's scratch), so a step
     allocates no N-sized array of its own beyond what the model's
-    coefficient callables return and its box tests' masks.
+    coefficient callables return and its exit test's masks. A row is live
+    until its first exit from D_cut, where it freezes: one mask,
+    ``exit_step[cut] < 0``, rebuilt on a step that stamps a row there,
+    stands in for the coefficients' box tests.
     """
     n, r = cfg.n_particles, len(clouds)
     streams = {seed: NoiseStream(seed, cfg.stream) for _, seed, _, _ in clouds}
@@ -728,6 +757,9 @@ def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
     work = _Workspace(block.n, model)
     fvs = [evaluate_functionals(model.functionals, block.x[j]) for j in rows]
     marks = set(cfg.checkpoint_steps())
+    cut = block.exit_step[cfg.cut_level]
+    live = cut < 0
+    alive = True if live.all() else live
     observe(block.split(r), fvs)
     for i in range(cfg.total_steps):
         for noise, purpose, out in draws:
@@ -735,7 +767,8 @@ def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
         for src, dst in copies:
             np.copyto(dst, src)
         coefficients = evaluate_coefficients(
-            model, block.t, block.x, fvs, cfg.cut_level, out=work.coefficients
+            model, block.t, block.x, fvs, cfg.cut_level, out=work.coefficients,
+            _alive=alive,
         )
         if hook is not None:
             hook(block.split(r), fvs, coefficients, dw)
@@ -743,6 +776,8 @@ def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
             block, model, cfg, None, shared_dw=dw, fv=fvs,
             coefficients=coefficients, work=work,
         )
+        if work.cut_exits:
+            alive = np.less(cut, 0, out=live)
         # euler_step has checked these positions are finite
         fvs = [
             evaluate_functionals(

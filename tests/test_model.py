@@ -178,6 +178,31 @@ def test_whole_space_means_no_finite_bound():
         rule=lambda k: (np.full(2, -float(k)), np.array([float(k), 1.0 - 1.0 / (k + 1)])),
     )
     assert not half.whole_space
+    for k in range(1, 6):
+        assert half.box(k)[1][1] < 1.0  # every box lies inside the open D
+
+
+def test_a_box_reaching_the_open_boundary_is_refused():
+    # the engine takes a row inside D_k to be inside D, so a closed box must
+    # lie inside the open D; here D_2 touches D's boundary
+    touching = DomainLadder(
+        dim=1,
+        lower=(0.0,),
+        upper=(np.inf,),
+        rule=lambda k: (np.array([0.0 if k == 2 else 1.0 / k]), np.array([float(k)])),
+    )
+    assert touching.box(1)[0].tolist() == [1.0]
+    with pytest.raises(ValueError, match="not inside"):
+        touching.box(2)
+    # a box must be bounded: an infinite end is never inside D
+    unbounded = DomainLadder(
+        dim=2,
+        lower=(-np.inf, -np.inf),
+        upper=(np.inf, 1.0),
+        rule=lambda k: (np.full(2, -float(k)), np.array([np.inf, 0.5])),
+    )
+    with pytest.raises(ValueError, match="not inside"):
+        unbounded.box(3)
 
 
 @pytest.mark.parametrize("name", ["example1-quartic", "example3-cir"])

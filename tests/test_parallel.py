@@ -35,3 +35,18 @@ def test_other_shapes_and_dtypes_keep_the_block_loop():
         got, want = tree_sum(values), block_loop_sum(values)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         assert np.asarray(got).dtype == np.asarray(want).dtype
+
+
+def test_one_block_of_any_shape_is_its_own_sum():
+    # n <= BLOCK makes one block, summed in one call
+    rng = np.random.Generator(np.random.Philox(2))
+    cases = (
+        rng.standard_normal((BLOCK // 2, 2)),
+        rng.standard_normal((BLOCK, 2))[:, 0],
+        rng.integers(-5, 5, BLOCK),
+        rng.standard_normal(3).astype(np.float32),
+    )
+    for values in cases:
+        got, want = tree_sum(values), block_loop_sum(values)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.asarray(got).dtype == np.asarray(want).dtype

@@ -1007,23 +1007,26 @@ def test_engine_loop_equals_a_hand_loop_of_euler_step(name):
     assert_loop_equals_hand_loop(model, x0, cut, levels)
 
 
+#: A model with d = 2 and d' = 3, whose update goes through the einsum.
+PLANE = ModelSpec(
+    name="plane",
+    dim=2,
+    noise_dim=3,
+    drift=lambda t, x, fv: 0.3 * x[:, ::-1] - x,
+    diffusion=lambda t, x, fv: 0.4 * np.stack([np.sin(x), np.cos(x), x], 2),
+    functionals=(),
+    ladder=DomainLadder.full_space(2),
+    local_bound=lambda k: 2.0 * k,
+)
+PLANE_X0 = rows(
+    (2, (-2.5, -2.5)), (25, (-2.0, 0.0)), (346, (0.0, 0.0)),
+    (25, (2.0, 0.0)), (2, (2.5, 2.5)),
+)
+
+
 def test_engine_loop_equals_a_hand_loop_in_two_dimensions():
     # d = 2, d' = 3: the update goes through the einsum, into the workspace
-    plane = ModelSpec(
-        name="plane",
-        dim=2,
-        noise_dim=3,
-        drift=lambda t, x, fv: 0.3 * x[:, ::-1] - x,
-        diffusion=lambda t, x, fv: 0.4 * np.stack([np.sin(x), np.cos(x), x], 2),
-        functionals=(),
-        ladder=DomainLadder.full_space(2),
-        local_bound=lambda k: 2.0 * k,
-    )
-    x0 = rows(
-        (2, (-2.5, -2.5)), (25, (-2.0, 0.0)), (346, (0.0, 0.0)),
-        (25, (2.0, 0.0)), (2, (2.5, 2.5)),
-    )
-    assert_loop_equals_hand_loop(plane, x0, 2, (1, 2))
+    assert_loop_equals_hand_loop(PLANE, PLANE_X0, 2, (1, 2))
 
 
 def test_engine_loop_blows_up_at_the_hand_loop_step():
@@ -1127,3 +1130,172 @@ def test_non_finite_point_mass_is_rejected_at_step_zero(bad):
         coupled_simulate(
             sc.model, small_cfg(), PointMass(0.0), PointMass(bad), vbar=lambda z: z**2
         )
+
+
+# ---------------------------------------------------------------------------
+# exit records against plain box tests
+# ---------------------------------------------------------------------------
+
+
+def every_step_cfg(x0, cut, exit_levels, **kw):
+    """A 40-step run (Δt = 1/20) that checkpoints every step."""
+    return SimConfig(
+        n_particles=len(x0), horizon=2.0, steps_per_unit=20, cut_level=cut,
+        exit_levels=exit_levels, seed=11, checkpoints=np.arange(41) / 20, **kw,
+    )
+
+
+def engine_records(model, cfg, x0):
+    """Each step's positions, kept through ``simulate``'s ``_on_checkpoint``,
+    and the exit records the engine's loop holds at that step."""
+    positions, seen, records = [], [], []
+
+    def observe(clouds, fvs):
+        seen.append(clouds[0].x.copy())
+        records.append({m: rec.copy() for m, rec in clouds[0].exit_step.items()})
+
+    simulate(
+        model, None, cfg, Samples(x0),
+        _on_checkpoint=lambda t, x: positions.append(x.copy()),
+    )
+    lone = [(Samples(x0), cfg.seed, NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_STEP)]
+    _run_clouds(model, cfg, lone, observe)
+    assert [x.tobytes() for x in seen] == [x.tobytes() for x in positions]
+    return positions, records
+
+
+def first_exits_by_hand(model, m, positions):
+    """Per row, the first step whose position lies outside the closed box
+    D_m, or −1, by a plain comparison with the box's ends."""
+    lo, hi = model.ladder.box(m)
+    out = np.stack([((x < lo) | (x > hi)).any(axis=1) for x in positions])
+    return np.where(out.any(axis=0), out.argmax(axis=0), -1)
+
+
+def assert_records_are_first_exits(model, cfg, x0):
+    positions, records = engine_records(model, cfg, x0)
+    assert len(positions) == len(records) == cfg.total_steps + 1
+    for m in cfg.tracked_levels():
+        first = first_exits_by_hand(model, m, positions)
+        for step, rec in enumerate(records):
+            want = np.where((first >= 0) & (first <= step), first, -1)
+            assert rec[m].tobytes() == want.tobytes(), (m, step)
+        # not vacuous: at this seed some row leaves D_m during the run
+        assert (first > 0).any(), m
+    # a row that left D_cut stays where it froze
+    first = first_exits_by_hand(model, cfg.cut_level, positions)
+    for i in np.flatnonzero(first >= 0):
+        frozen = np.stack([x[i] for x in positions[first[i]:]])
+        assert (frozen == frozen[0]).all()
+    return positions
+
+
+CIR_SPREAD = rows(
+    (10, -0.5), (10, 0.0), (10, 0.1), (10, 0.15), (20, 0.4), (60, 1.0),
+    (50, 2.0), (20, 2.5), (50, 3.0), (20, 4.0), (100, 5.0), (10, 6.0),
+)
+# a dozen rows outside D_2, well under 1/32 of the cloud (at most 23 of 1600
+# were outside at any step of 200 at six seeds), so the outer boxes are
+# tested by index
+CIR_FEW = rows(
+    (1, -0.5), (1, 0.1), (1, 0.4), (1, 2.5), (1, 4.0), (1, 6.0), (3, 3.0),
+    (3, 5.0), (4, 2.0), (1584, 1.0),
+)
+
+
+@pytest.mark.parametrize("x0", [CIR_SPREAD, CIR_FEW], ids=["spread", "few-outside"])
+def test_exit_records_are_the_first_exits_of_the_positions(x0):
+    # example3-cir at levels 2, 3 and 5 from rows at x <= 0, in (0, 1/5),
+    # between the levels and beyond 5
+    model = builtin_scenario("example3-cir").model
+    cfg = every_step_cfg(x0, 5, (2, 3))
+    positions = assert_records_are_first_exits(model, cfg, x0)
+    if x0 is CIR_FEW:
+        lo, hi = model.ladder.box(2)
+        outside = [int(((x < lo) | (x > hi)).sum()) for x in positions]
+        assert 0 < min(outside) and outside[0] * 32 <= len(x0)
+
+
+def test_exit_records_of_a_one_level_run():
+    # example1's rows at ±2.0625 start frozen at the cut, its only level
+    x0 = LOOP_CASES["example1-quartic"][0]
+    model = builtin_scenario("example1-quartic").model
+    assert_records_are_first_exits(model, every_step_cfg(x0, 2, ()), x0)
+
+
+def test_exit_records_in_two_dimensions():
+    assert_records_are_first_exits(PLANE, every_step_cfg(PLANE_X0, 2, (1,)), PLANE_X0)
+
+
+def test_tracked_levels_must_nest():
+    # update_exits tests an outer box only on rows outside the inner one
+    wobble = DomainLadder(
+        dim=1, lower=(-np.inf,), upper=(np.inf,),
+        rule=lambda k: (np.array([-1.0 - k % 2]), np.array([1.0 + k % 2])),
+    )
+    model = ModelSpec(
+        name="wobble", dim=1, noise_dim=1,
+        drift=lambda t, x, fv: -x, diffusion=lambda t, x, fv: np.ones((1, 1, 1)),
+        functionals=(), ladder=wobble, local_bound=lambda k: 2.0,
+    )
+    x0 = np.zeros((4, 1))
+    assert list(ParticleCloud.create(x0, model, (1, 3)).exit_step) == [1, 3]
+    with pytest.raises(ValueError, match="nest"):
+        ParticleCloud.create(x0, model, (1, 2))
+    with pytest.raises(ValueError, match="nest"):
+        simulate(model, None, small_cfg(cut_level=2, exit_levels=(1,)), PointMass(0.0))
+    # levels run inside out
+    with pytest.raises(ValueError, match="nest"):
+        ParticleCloud.create(x0, builtin_scenario("linear-meanfield").model, (3, 2))
+
+
+def test_engine_makes_one_whole_cloud_box_test_per_step(monkeypatch):
+    # the loop's live mask stands in for the coefficients' box tests, and
+    # update_exits tests only the innermost box on every row
+    engine = sys.modules["mkvlab.simulate"]
+    calls, coefficient_calls = [], []
+    contains, evaluate = DomainLadder.contains, engine.evaluate_coefficients
+
+    def counted_contains(self, x, k=None):
+        calls.append((sys._getframe(1).f_code.co_name, np.shape(x)[0]))
+        return contains(self, x, k)
+
+    def counted_evaluate(*args, **kwargs):
+        coefficient_calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(DomainLadder, "contains", counted_contains)
+    monkeypatch.setattr(engine, "evaluate_coefficients", counted_evaluate)
+    cir = builtin_scenario("example3-cir").model
+    flat = builtin_scenario("linear-meanfield").model
+    few = SimConfig(
+        n_particles=len(CIR_FEW), horizon=0.2, steps_per_unit=1000, cut_level=5,
+        exit_levels=(2, 3), seed=3,
+    )
+    pair = small_cfg(cut_level=64, exit_levels=(2, 8))
+    runs = {
+        "cir, a few rows outside D_2": (
+            lambda: simulate(cir, None, few, Samples(CIR_FEW)), few, 1
+        ),
+        "coupled, every row inside D_2": (
+            lambda: coupled_simulate(
+                flat, pair, PointMass(0.0), PointMass(0.5), lambda z: z**2
+            ),
+            pair,
+            2,
+        ),
+    }
+    for name, (run, cfg, r) in runs.items():
+        calls.clear()
+        coefficient_calls.clear()
+        run()
+        block = r * cfg.n_particles
+        whole = [caller for caller, n in calls if n == block]
+        assert whole.count("update_exits") == cfg.total_steps, name
+        assert whole.count("create") == len(cfg.tracked_levels()), name
+        assert len(whole) == cfg.total_steps + len(cfg.tracked_levels()), name
+        assert not [caller for caller, _ in calls if caller == "evaluate_coefficients"]
+        assert len(coefficient_calls) == cfg.total_steps, name
+        if r == 1:
+            # the outer boxes were tested on the rows outside D_2 alone
+            assert any(n < block for caller, n in calls if caller == "update_exits")
