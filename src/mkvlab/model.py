@@ -272,9 +272,8 @@ def evaluate_coefficients(
     ``out`` = (b, σ) buffers of those shapes receive the result, which is
     then returned; otherwise fresh arrays are. The values are the same.
 
-    ``_alive``, for the Euler engine only, is the mask of the rows not yet
-    out of D_k (or True for all): it replaces both box tests and the check
-    of ``fv``'s keys.
+    ``_alive``, for the Euler engine only, is its mask of live rows (or True
+    for all): it stands in for ``cut_level``, both box tests and the key check.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -282,16 +281,13 @@ def evaluate_coefficients(
     fvs = [fv] if isinstance(fv, dict) else fv
     if x.shape[0] % len(fvs):
         raise ValueError(f"{x.shape[0]} rows do not split into {len(fvs)} clouds")
-    alive = _alive
-    if alive is None:
-        keys = model.functional_keys()
+    if (alive := _alive) is None:
         for f in fvs:
-            missing = [k for k in keys if k not in f]
+            missing = [k for k in model.functional_keys() if k not in f]
             if missing:
                 raise ValueError(f"missing functional values: {missing}")
         # D_k lies inside D; with no cut level, contains tests D itself
         alive = model.ladder.contains(x, cut_level)
-        alive = True if alive.all() else alive
 
     shape_b = (x.shape[0], model.dim)
     if out is None:
@@ -305,7 +301,7 @@ def evaluate_coefficients(
             rows = slice(j * n, (j + 1) * n)
             np.copyto(out[0][rows], np.asarray(model.drift(t, x[rows], f), float))
             np.copyto(out[1][rows], np.asarray(model.diffusion(t, x[rows], f), float))
-    if alive is not True:
+    if alive is not True and not alive.all():
         dead = ~alive
         np.copyto(out[0], 0.0, where=dead[:, None])
         np.copyto(out[1], 0.0, where=dead[:, None, None])

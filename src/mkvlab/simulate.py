@@ -415,12 +415,10 @@ class ParticleCloud:
             (lo, hi), (lo2, hi2) = model.ladder.box(m), model.ladder.box(m2)
             if (lo < lo2).any() or (hi > hi2).any():
                 raise ValueError(f"levels must nest: D_{m} is not inside D_{m2}")
-        exit_step = {}
-        for m in levels:
-            rec = np.full(x0.shape[0], -1, dtype=np.int64)
-            rec[~model.ladder.contains(x0, m)] = 0
-            exit_step[ladder_level(m)] = rec
-        return ParticleCloud(x=x0, t=0.0, step=0, exit_step=exit_step)
+        exit_step = {ladder_level(m): np.full(len(x0), -1, np.int64) for m in levels}
+        cloud = ParticleCloud(x=x0, t=0.0, step=0, exit_step=exit_step)
+        cloud.update_exits(model, 0)
+        return cloud
 
     def copy(self) -> "ParticleCloud":
         """A cloud that owns copies of these positions and exit records."""
@@ -462,26 +460,22 @@ class ParticleCloud:
 
     def update_exits(self, model: ModelSpec, step: int) -> int:
         """Stamp ``step``, in place, on particles seen outside D_m for the
-        first time; return how many it stamped at the outermost level. As
-        the boxes nest, the innermost is tested on every row, and the outer
-        ones on the rows outside it if those are few (at most 1/32)."""
-        rows, few, stamped = None, False, 0
+        first time; return how many it stamped at the outermost level. The
+        boxes nest: outer ones are tested only on rows outside the innermost."""
+        stamped = 0
         for j, (m, rec) in enumerate(self.exit_step.items()):
-            if not few:  # every row: a mask of the cloud
+            if not j:  # the innermost box: a mask of the cloud
                 inside = model.ladder.contains(self.x, m)
-                n_out = inside.size - np.count_nonzero(inside)
-                if not n_out:
+                if inside.all():
                     return 0  # every row is inside the outer boxes too
                 fresh = rec < 0
                 np.greater(fresh, inside, out=fresh)  # fresh & ~inside
                 stamped = np.count_nonzero(fresh)
                 if stamped:
                     np.copyto(rec, step, where=fresh)
-                # past 1/32 of the rows, gathering costs more than masks
-                few = not j and 32 * n_out <= inside.size
             else:  # by index, the rows outside the box within this one
-                rows = np.flatnonzero(~inside) if rows is None else rows
-                rows = rows[~model.ladder.contains(self.x.take(rows, axis=0), m)]
+                rows = np.flatnonzero(~inside) if j == 1 else rows
+                rows = rows[~model.ladder.contains(self.x[rows], m)]
                 fresh = rows[rec[rows] < 0]
                 rec[fresh] = step
                 stamped = fresh.size
@@ -498,8 +492,7 @@ class _Workspace:
     writes into instead of fresh arrays: the cut coefficients (b, σ) that
     ``evaluate_coefficients(out=)`` fills, the update's scratch term
     ``kick`` and the finiteness mask ``finite``. Positions and exit records
-    need none: the step advances them in place, and counts in ``cut_exits``
-    the rows it stamped at the cut level."""
+    need none: the step advances them in place; ``cut_exits`` counts new cut exits."""
 
     def __init__(self, n: int, model: ModelSpec):
         d = model.dim
@@ -734,9 +727,8 @@ def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
     one ``_Workspace``, the expected shortfall's scratch), so a step
     allocates no N-sized array of its own beyond what the model's
     coefficient callables return and its exit test's masks. A row is live
-    until its first exit from D_cut, where it freezes: one mask,
-    ``exit_step[cut] < 0``, rebuilt on a step that stamps a row there,
-    stands in for the coefficients' box tests.
+    until its first exit from D_cut: one mask of live rows, rebuilt from the
+    cut's exit record when a step stamps it, replaces the coefficients' box tests.
     """
     n, r = cfg.n_particles, len(clouds)
     streams = {seed: NoiseStream(seed, cfg.stream) for _, seed, _, _ in clouds}
@@ -757,8 +749,7 @@ def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
     work = _Workspace(block.n, model)
     fvs = [evaluate_functionals(model.functionals, block.x[j]) for j in rows]
     marks = set(cfg.checkpoint_steps())
-    cut = block.exit_step[cfg.cut_level]
-    live = cut < 0
+    live = block.exit_step[cfg.cut_level] < 0
     alive = True if live.all() else live
     observe(block.split(r), fvs)
     for i in range(cfg.total_steps):
@@ -767,8 +758,7 @@ def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
         for src, dst in copies:
             np.copyto(dst, src)
         coefficients = evaluate_coefficients(
-            model, block.t, block.x, fvs, cfg.cut_level, out=work.coefficients,
-            _alive=alive,
+            model, block.t, block.x, fvs, out=work.coefficients, _alive=alive
         )
         if hook is not None:
             hook(block.split(r), fvs, coefficients, dw)
@@ -777,12 +767,10 @@ def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
             coefficients=coefficients, work=work,
         )
         if work.cut_exits:
-            alive = np.less(cut, 0, out=live)
+            alive = np.less(block.exit_step[cfg.cut_level], 0, out=live)
         # euler_step has checked these positions are finite
         fvs = [
-            evaluate_functionals(
-                model.functionals, block.x[j], scratch, _finite=True
-            )
+            evaluate_functionals(model.functionals, block.x[j], scratch, _finite=True)
             for j in rows
         ]
         if i + 1 in marks:

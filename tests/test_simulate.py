@@ -1194,9 +1194,8 @@ CIR_SPREAD = rows(
     (10, -0.5), (10, 0.0), (10, 0.1), (10, 0.15), (20, 0.4), (60, 1.0),
     (50, 2.0), (20, 2.5), (50, 3.0), (20, 4.0), (100, 5.0), (10, 6.0),
 )
-# a dozen rows outside D_2, well under 1/32 of the cloud (at most 23 of 1600
-# were outside at any step of 200 at six seeds), so the outer boxes are
-# tested by index
+# a dozen of 1600 rows start outside D_2: the outer boxes are tested on the
+# rows outside it alone
 CIR_FEW = rows(
     (1, -0.5), (1, 0.1), (1, 0.4), (1, 2.5), (1, 4.0), (1, 6.0), (3, 3.0),
     (3, 5.0), (4, 2.0), (1584, 1.0),
@@ -1213,7 +1212,7 @@ def test_exit_records_are_the_first_exits_of_the_positions(x0):
     if x0 is CIR_FEW:
         lo, hi = model.ladder.box(2)
         outside = [int(((x < lo) | (x > hi)).sum()) for x in positions]
-        assert 0 < min(outside) and outside[0] * 32 <= len(x0)
+        assert 0 < min(outside)  # the outer boxes are tested at every step
 
 
 def test_exit_records_of_a_one_level_run():
@@ -1290,10 +1289,9 @@ def test_engine_makes_one_whole_cloud_box_test_per_step(monkeypatch):
         coefficient_calls.clear()
         run()
         block = r * cfg.n_particles
+        # one per step, step 0 included (create stamps it through update_exits)
         whole = [caller for caller, n in calls if n == block]
-        assert whole.count("update_exits") == cfg.total_steps, name
-        assert whole.count("create") == len(cfg.tracked_levels()), name
-        assert len(whole) == cfg.total_steps + len(cfg.tracked_levels()), name
+        assert whole == ["update_exits"] * (cfg.total_steps + 1), name
         assert not [caller for caller, _ in calls if caller == "evaluate_coefficients"]
         assert len(coefficient_calls) == cfg.total_steps, name
         if r == 1:
