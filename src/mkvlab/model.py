@@ -254,7 +254,7 @@ def evaluate_coefficients(
     fv: dict | list,
     cut_level: int | None = None,
     out: tuple[np.ndarray, np.ndarray] | None = None,
-    *, _alive: np.ndarray | bool | None = None,
+    *, _dead: np.ndarray | bool | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate (b, σ) at (t, x, fv), zeroed outside D_k and outside D.
 
@@ -272,8 +272,8 @@ def evaluate_coefficients(
     ``out`` = (b, σ) buffers of those shapes receive the result, which is
     then returned; otherwise fresh arrays are. The values are the same.
 
-    ``_alive``, for the Euler engine only, is its mask of live rows (or True
-    for all): it stands in for ``cut_level``, both box tests and the key check.
+    ``_dead``, for the Euler engine only, is its mask of dead rows (or False
+    for none): it stands in for ``cut_level``, both box tests and the key check.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -281,13 +281,13 @@ def evaluate_coefficients(
     fvs = [fv] if isinstance(fv, dict) else fv
     if x.shape[0] % len(fvs):
         raise ValueError(f"{x.shape[0]} rows do not split into {len(fvs)} clouds")
-    if (alive := _alive) is None:
+    if (dead := _dead) is None:
         for f in fvs:
             missing = [k for k in model.functional_keys() if k not in f]
             if missing:
                 raise ValueError(f"missing functional values: {missing}")
         # D_k lies inside D; with no cut level, contains tests D itself
-        alive = model.ladder.contains(x, cut_level)
+        dead = ~model.ladder.contains(x, cut_level)
 
     shape_b = (x.shape[0], model.dim)
     if out is None:
@@ -301,8 +301,7 @@ def evaluate_coefficients(
             rows = slice(j * n, (j + 1) * n)
             np.copyto(out[0][rows], np.asarray(model.drift(t, x[rows], f), float))
             np.copyto(out[1][rows], np.asarray(model.diffusion(t, x[rows], f), float))
-    if alive is not True and not alive.all():
-        dead = ~alive
+    if dead is not False and dead.any():
         np.copyto(out[0], 0.0, where=dead[:, None])
         np.copyto(out[1], 0.0, where=dead[:, None, None])
     b, s = out

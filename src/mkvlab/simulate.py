@@ -236,13 +236,13 @@ class SimConfig:
     """Run parameters for one particle-cloud simulation.
 
     ``steps_per_unit`` is the grid density n (Δt = 1/n), and ``horizon``
-    must lie on that grid: h·n within 1e-9 relative of an integer ≥ 1, so a
-    run ends at t = horizon exactly. ``cut_level`` is the localization level
-    k; ``exit_levels`` lists the ladder levels m ≤ k whose first-exit steps
-    are tracked (the cut level itself is always tracked). Levels are
-    integers: integral floats are converted, anything else is rejected.
-    There is no worker count: the engine is serial, and the CLI's
-    ``--threads`` is accepted and has no effect.
+    must lie on that grid: h·n within 1e-9 relative of an integer in
+    [1, 2³¹ − 1] (the int32 exit records), so a run ends at t = horizon
+    exactly. ``cut_level`` is the localization level k; ``exit_levels``
+    lists the ladder levels m ≤ k whose first-exit steps are tracked (the
+    cut level itself always is). Levels are integers: integral floats are
+    converted, anything else is rejected. There is no worker count: the
+    engine is serial, and the CLI's ``--threads`` has no effect.
     """
 
     n_particles: int
@@ -268,6 +268,8 @@ class SimConfig:
                 f"1/{self.steps_per_unit}: horizon·n = "
                 f"{self.horizon * self.steps_per_unit!r} is not an integer >= 1"
             )
+        if k > 2**31 - 1:
+            raise ValueError(f"{k} steps: an int32 exit record holds {2**31 - 1}")
         cut = ladder_level(self.cut_level)
         if cut < 1:
             raise ValueError("cut level must be >= 1")
@@ -397,7 +399,8 @@ class ParticleCloud:
 
     ``exit_step[m][i]`` is the first grid index at which particle i was seen
     outside D_m (0 if it started there), or −1 while it has not exited. The
-    record is monotone: set once, never unset. Levels run inside out.
+    record is monotone: set once, never unset. Levels run inside out. The
+    records are int32, which holds every step a ``SimConfig`` allows.
     """
 
     x: np.ndarray
@@ -415,7 +418,7 @@ class ParticleCloud:
             (lo, hi), (lo2, hi2) = model.ladder.box(m), model.ladder.box(m2)
             if (lo < lo2).any() or (hi > hi2).any():
                 raise ValueError(f"levels must nest: D_{m} is not inside D_{m2}")
-        exit_step = {ladder_level(m): np.full(len(x0), -1, np.int64) for m in levels}
+        exit_step = {ladder_level(m): np.full(len(x0), -1, np.int32) for m in levels}
         cloud = ParticleCloud(x=x0, t=0.0, step=0, exit_step=exit_step)
         cloud.update_exits(model, 0)
         return cloud
@@ -490,14 +493,16 @@ class ParticleCloud:
 class _Workspace:
     """The buffers a step of n rows (one cloud, or one block of clouds)
     writes into instead of fresh arrays: the cut coefficients (b, σ) that
-    ``evaluate_coefficients(out=)`` fills, the update's scratch term
-    ``kick`` and the finiteness mask ``finite``. Positions and exit records
-    need none: the step advances them in place; ``cut_exits`` counts new cut exits."""
+    ``evaluate_coefficients(out=)`` fills and the finiteness mask
+    ``finite``. b doubles as the update's scratch term ``kick`` and, from
+    the end of a step to the next coefficient evaluation, as the loop's
+    expected-shortfall partition. Positions and exit records need none:
+    the step advances them in place; ``cut_exits`` counts new cut exits."""
 
     def __init__(self, n: int, model: ModelSpec):
         d = model.dim
         self.coefficients = (np.empty((n, d)), np.empty((n, d, model.noise_dim)))
-        self.kick = np.empty((n, d))
+        self.kick = self.coefficients[0]
         self.finite = np.empty((n, d), dtype=bool)
         self.cut_exits = 0
 
@@ -507,8 +512,9 @@ def _displace(x, b, s, dw, dt, kick) -> None:
 
     ``x``, ``b`` and ``s`` may stack R clouds of the N rows of ``dw``: row i
     of every cloud moves with increment i, and ``dw`` is never copied.
-    ``kick`` is a buffer of ``x``'s shape for the scratch term. The sum is
-    (x + b·Δt) + σ·Δw, in that order.
+    ``kick`` is a buffer of ``x``'s shape for the scratch term; it may be
+    ``b`` itself, which is then overwritten. The sum is (x + b·Δt) + σ·Δw,
+    in that order.
     """
     n = dw.shape[0]
     r = x.shape[0] // n
@@ -560,11 +566,12 @@ def euler_step(
     coefficients are non-finite, the block reports the coefficient fault,
     where R steps in order would report the blow-up.
 
-    Without ``work``, ``cloud`` is untouched: the step advances a copy of
-    it, with a workspace of its own, and returns that copy. ``work`` is the
-    workspace of the engine's own loop (``_run_clouds``): the step then
-    advances ``cloud`` itself in place, positions and exit records, and
-    returns it. The numbers are the same either way.
+    Without ``work``, ``cloud`` and ``coefficients`` are untouched: the
+    step advances a copy of the cloud, with a workspace of its own, and
+    returns that copy. ``work`` is the workspace of the engine's own loop
+    (``_run_clouds``): the step then advances ``cloud`` itself in place,
+    positions and exit records, returns it, and spends the workspace's b
+    as its scratch. The numbers are the same either way.
     """
     if work is None:
         cloud = cloud.copy()
@@ -723,12 +730,14 @@ def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
     the step will use and its increments. Both see each cloud as a
     ``ParticleCloud`` view of its rows of the block and its functional
     values, reduced on those rows, in arrays that later steps overwrite:
-    they copy what they keep. The loop owns its memory (the noise buffer,
-    one ``_Workspace``, the expected shortfall's scratch), so a step
-    allocates no N-sized array of its own beyond what the model's
-    coefficient callables return and its exit test's masks. A row is live
-    until its first exit from D_cut: one mask of live rows, rebuilt from the
-    cut's exit record when a step stamps it, replaces the coefficients' box tests.
+    they copy what they keep. The loop owns its memory, one buffer per role
+    (per row: x, Δw, b, σ, an int32 exit record per tracked level, the
+    finiteness mask and the dead mask; b is also the update's scratch and
+    the expected shortfall's partition), so a step allocates no N-sized
+    array of its own beyond what the model's coefficient callables return
+    and its exit test's masks. A row is dead from its first exit from D_cut:
+    the dead mask, rebuilt from the cut's exit record when a step stamps
+    it, replaces the coefficients' box tests.
     """
     n, r = cfg.n_particles, len(clouds)
     streams = {seed: NoiseStream(seed, cfg.stream) for _, seed, _, _ in clouds}
@@ -742,15 +751,16 @@ def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
     keys = [(seed, step) for _, seed, _, step in clouds]
     if len(set(keys)) == 1:
         keys = keys[:1]
-    dw, scratch = np.empty((len(keys) * n, model.noise_dim)), np.empty(n)
+    dw = np.empty((len(keys) * n, model.noise_dim))
     first = {key: rows[keys.index(key)] for key in keys}
     draws = [(streams[seed], step, dw[j]) for (seed, step), j in first.items()]
     copies = [(dw[first[key]], dw[j]) for key, j in zip(keys, rows) if first[key] != j]
     work = _Workspace(block.n, model)
-    fvs = [evaluate_functionals(model.functionals, block.x[j]) for j in rows]
+    scratch = work.kick[:n, 0]  # b's first column, spent until the next step
+    fvs = [evaluate_functionals(model.functionals, block.x[j], scratch) for j in rows]
     marks = set(cfg.checkpoint_steps())
-    live = block.exit_step[cfg.cut_level] < 0
-    alive = True if live.all() else live
+    dead = block.exit_step[cfg.cut_level] >= 0
+    frozen = dead if dead.any() else False
     observe(block.split(r), fvs)
     for i in range(cfg.total_steps):
         for noise, purpose, out in draws:
@@ -758,7 +768,7 @@ def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
         for src, dst in copies:
             np.copyto(dst, src)
         coefficients = evaluate_coefficients(
-            model, block.t, block.x, fvs, out=work.coefficients, _alive=alive
+            model, block.t, block.x, fvs, out=work.coefficients, _dead=frozen
         )
         if hook is not None:
             hook(block.split(r), fvs, coefficients, dw)
@@ -767,7 +777,7 @@ def _run_clouds(model, cfg, clouds, observe, hook=None) -> None:
             coefficients=coefficients, work=work,
         )
         if work.cut_exits:
-            alive = np.less(block.exit_step[cfg.cut_level], 0, out=live)
+            frozen = np.greater_equal(block.exit_step[cfg.cut_level], 0, out=dead)
         # euler_step has checked these positions are finite
         fvs = [
             evaluate_functionals(model.functionals, block.x[j], scratch, _finite=True)

@@ -279,6 +279,13 @@ def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
             [],
             "checkpoint spacing 0.01 (shortest horizon / 50) is not a whole",
         ),
+        (
+            "simulate",
+            SIM_CFG.replace("sim.horizon = 0.5", "sim.horizon = 3000000")
+            .replace("sim.steps_per_unit = 50", "sim.steps_per_unit = 1000"),
+            [],
+            "3000000000 steps: an int32 exit record holds 2147483647",
+        ),
     ],
     ids=[
         "sim.threads",
@@ -297,6 +304,7 @@ def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
         "off-grid-checkpoint",
         "checkpoint-near-zero",
         "stationary-spacing-off-grid",
+        "steps-beyond-int32",
     ],
 )
 def test_unusable_run_settings_exit_with_code_2(

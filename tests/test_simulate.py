@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,15 @@ def test_horizons_off_the_grid_are_rejected():
     # rounding in h·n is not an offset: 0.1·30 = 3.0000000000000004
     assert small_cfg(horizon=0.1, steps_per_unit=30).total_steps == 3
     assert small_cfg(horizon=0.002, steps_per_unit=1000).total_steps == 2
+
+
+def test_step_counts_beyond_an_int32_record_are_refused():
+    # exit records are int32: the last step they hold is 2**31 - 1
+    assert small_cfg(horizon=2**31 - 1, steps_per_unit=1).total_steps == 2**31 - 1
+    with pytest.raises(ValueError, match="int32"):
+        small_cfg(horizon=2**31, steps_per_unit=1)
+    with pytest.raises(ValueError, match="int32"):
+        small_cfg(horizon=3_000_000, steps_per_unit=1000)
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +459,12 @@ def test_passed_in_functionals_and_coefficients_change_nothing():
     fv = evaluate_functionals(sc.model.functionals, cloud.x)
     coeffs = evaluate_coefficients(sc.model, cloud.t, cloud.x, fv, cfg.cut_level)
     plain = euler_step(cloud, sc.model, cfg, noise)
+    kept = [c.copy() for c in coeffs]
     for kw in ({"fv": fv}, {"coefficients": coeffs}):
         given = euler_step(cloud, sc.model, cfg, noise, **kw)
         assert given.x.tobytes() == plain.x.tobytes()
+    # the step spends its own workspace's b as scratch, never a caller's
+    assert all(c.tobytes() == k.tobytes() for c, k in zip(coeffs, kept))
 
 
 def test_particles_outside_the_cut_box_freeze_forever(contraction_model):
@@ -994,7 +1007,7 @@ def assert_loop_equals_hand_loop(model, x0, cut, levels):
         assert got == want
         # the case is not trivial: particles froze at the cut during the
         # run, and others never left it
-        first_exits = np.frombuffer(got[-1][0][2][cut], dtype=np.int64)
+        first_exits = np.frombuffer(got[-1][0][2][cut], dtype=np.int32)
         assert (first_exits > 0).any() and (first_exits < 0).any()
 
 
@@ -1132,6 +1145,34 @@ def test_non_finite_point_mass_is_rejected_at_step_zero(bad):
         )
 
 
+def test_the_engine_keeps_one_buffer_per_role():
+    # per row: x, Δw, b and σ (float64), three int32 exit records, the
+    # finiteness and dead masks; b is also the update's scratch and the
+    # expected shortfall's partition, so nothing else of N's size outlives
+    # a step. Beyond that, a checkpoint's v = x² + x⁻² holds both terms and
+    # their sum at once (numpy reuses no temporary under 256 KiB), and a
+    # fixed slack covers the series and the small arrays.
+    sc = builtin_scenario("example3-cir")
+    n = 20_000
+    cfg = SimConfig(
+        n_particles=n, horizon=0.005, steps_per_unit=1000, cut_level=5,
+        exit_levels=(2, 3), seed=0, checkpoints=(0.0, 0.005),
+    )
+    bound = (8 * 4 + 4 * 3 + 2) * n + 24 * n + 64 * 1024
+
+    def run():
+        simulate(sc.model, sc.lyap, cfg, sc.default_init)
+
+    run()  # one-time allocations (caches, lazy imports) stay out of the peak
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak / n, bound / n)
+
+
 # ---------------------------------------------------------------------------
 # exit records against plain box tests
 # ---------------------------------------------------------------------------
@@ -1179,7 +1220,8 @@ def assert_records_are_first_exits(model, cfg, x0):
         first = first_exits_by_hand(model, m, positions)
         for step, rec in enumerate(records):
             want = np.where((first >= 0) & (first <= step), first, -1)
-            assert rec[m].tobytes() == want.tobytes(), (m, step)
+            assert rec[m].dtype == np.int32
+            assert rec[m].tobytes() == want.astype(rec[m].dtype).tobytes(), (m, step)
         # not vacuous: at this seed some row leaves D_m during the run
         assert (first > 0).any(), m
     # a row that left D_cut stays where it froze
