@@ -103,16 +103,6 @@ class StabilityReport:
     def passed(self) -> bool:
         return bool(np.all(self.measured <= self.bound * (1.0 + self.tolerance)))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,measured,bound,band,margin\n")
-            for t, m, b, w, g in zip(
-                self.times, self.measured, self.bound, self.band, self.margins
-            ):
-                fh.write(
-                    ",".join(repr(float(v)) for v in (t, m, b, w, g)) + "\n"
-                )
-
 
 def stability_experiment(
     model: ModelSpec,
@@ -180,14 +170,13 @@ def scheutzow_probe(
     cfg: SimConfig,
     seeds,
     init: InitialLaw,
-    scale: float = 5.0,
 ) -> CheckReport:
     """Inter-replica law agreement for saturated-interaction models.
 
     Runs one replica per seed from the same initial law, as one block that
     gives each the numbers of its lone ``simulate`` run, and compares every
     replica pair's empirical measure by W₁ at each checkpoint, keeping no
-    positions. Rows report (distance, scale·N^{−1/2}); margins below the
+    positions. Rows report (distance, 5·N^{−1/2}); margins below the
     tolerance are findings against weak uniqueness, not errors.
     """
     seeds = list(seeds)
@@ -195,7 +184,7 @@ def scheutzow_probe(
         raise ValueError("replica probe needs at least two seeds")
     if model.dim != 1:
         raise ValueError("replica probe compares laws by 1-d W1")
-    rhs = scale / math.sqrt(cfg.n_particles)
+    rhs = 5.0 / math.sqrt(cfg.n_particles)
     pairs = {(a, b): [] for a in range(len(seeds)) for b in range(a + 1, len(seeds))}
 
     def observe(clouds, fvs):

@@ -3,9 +3,13 @@
 Configs are flat text, one ``key = value`` per line with dotted section
 prefixes (``scenario.alpha = -0.5``), ``#`` comments allowed. Flat text was
 chosen over nested formats so configs diff line-by-line and round-trip
-exactly: ``parse → serialize → parse`` yields an equal config. Every number
-in emitted CSVs and summaries uses the shortest round-trip decimal form
-(``repr``), which makes byte-comparison a meaningful reproducibility check.
+exactly: ``parse → serialize → parse`` yields an equal config.
+
+Only this module writes files: the library returns values, and each CSV
+and summary cell is text as is, an integer (numpy and ``bool`` included)
+through ``str``, or any other number as ``repr(float(x))``, the shortest
+round-trip decimal, which makes byte-comparison a meaningful
+reproducibility check. CSVs end lines with ``\\n`` and quote cells holding commas.
 
 Exit codes follow one convention across subcommands:
 
@@ -338,14 +342,26 @@ def _out_dir(rc: RunConfig) -> Path:
     return path
 
 
-def _write_summary(path: Path, pairs, raw_lines=()) -> None:
-    """key = value lines; values are repr'd so they parse back losslessly."""
+def _cell(val) -> str:
+    """The module docstring's cell rule."""
+    if isinstance(val, str):
+        return val
+    if isinstance(val, (int, np.integer)):
+        return str(val)
+    return repr(float(val))
+
+
+def _write_csv(path: Path, columns, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def _write_summary(path: Path, pairs) -> None:
+    """``key = value`` lines, one per pair, in the order given."""
     with open(path, "w") as fh:
-        for key, val in pairs:
-            shown = repr(val) if isinstance(val, float) else str(val)
-            fh.write(f"{key} = {shown}\n")
-        for line in raw_lines:
-            fh.write(line + "\n")
+        fh.writelines(f"{key} = {_cell(val)}\n" for key, val in pairs)
 
 
 def _finite(series) -> bool:
@@ -382,7 +398,7 @@ def cmd_simulate(rc: RunConfig) -> int:
     cfg = rc.sim_config()
     series = simulate(scenario.model, scenario.lyap, cfg, rc.initial_law(scenario))
     out = _out_dir(rc)
-    series.to_csv(out / "diagnostics.csv")
+    _write_csv(out / "diagnostics.csv", series.columns, series.rows)
     code = EX_OK
     violations = 0
     if not _finite(series):
@@ -399,7 +415,9 @@ def cmd_simulate(rc: RunConfig) -> int:
         ("envelope_violations", violations),
         ("tolerance", rc.tolerance),
     ]
-    _write_summary(out / "summary.txt", pairs, series.summary_lines())
+    pairs += sorted(series.meta.items())
+    pairs += [(f"final.{c}", x) for c, x in zip(series.columns, series.rows[-1])]
+    _write_summary(out / "summary.txt", pairs)
     return code
 
 
@@ -427,13 +445,14 @@ def cmd_stability(rc: RunConfig) -> int:
         tolerance=rc.tolerance,
     )
     out = _out_dir(rc)
-    report.to_csv(out / "stability.csv")
+    rows = zip(report.times, report.measured, report.bound, report.band, report.margins)
+    _write_csv(out / "stability.csv", ["t", "measured", "bound", "band", "margin"], rows)
     code = EX_OK if report.passed() else EX_FINDINGS
     if not all(math.isfinite(m) for m in report.measured):
         code = EX_BLOWUP
     pairs = [("experiment", "stability"), ("exit_code", code), ("mode", mode)]
-    pairs += [(k, v) for k, v in report.meta.items()]
-    pairs.append(("worst_margin", float(min(report.margins))))
+    pairs += report.meta.items()
+    pairs.append(("worst_margin", report.margin))
     _write_summary(out / "summary.txt", pairs)
     return code
 
@@ -448,7 +467,7 @@ def cmd_stationary(rc: RunConfig) -> int:
         lyap=scenario.lyap,
     )
     out = _out_dir(rc)
-    diag.to_csv(out / "stationary.csv")
+    _write_csv(out / "stationary.csv", diag.columns, diag.rows)
     gaps = diag.column("w1_prev")[1:]  # first entry is nan: nothing precedes it
     cauchy = bool(np.all(np.diff(gaps) < 0)) if gaps.size >= 2 else True
     finite = all(
@@ -461,7 +480,7 @@ def cmd_stationary(rc: RunConfig) -> int:
     elif not cauchy:
         code = EX_FINDINGS
     pairs = [("experiment", "stationary"), ("exit_code", code)]
-    pairs += [(k, v) for k, v in diag.meta.items()]
+    pairs += diag.meta.items()
     pairs.append(("w1_gaps_decreasing", cauchy))
     for occ in occupations:
         pairs.append(
@@ -485,11 +504,7 @@ def cmd_lions_check(rc: RunConfig) -> int:
             rows.append((uid, r.probe, r.lhs, r.rhs, r.margin))
         w = report.worst()
         worst.append((uid, w.lhs if w else 0.0, report.passed()))
-    with open(out / "lions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["function", "probe", "lhs", "rhs", "margin"])
-        for uid, probe, lhs, rhs, margin in rows:
-            writer.writerow([uid, probe, repr(lhs), repr(rhs), repr(margin)])
+    _write_csv(out / "lions.csv", ["function", "probe", "lhs", "rhs", "margin"], rows)
     ok = all(passed for _, _, passed in worst)
     code = EX_OK if ok else EX_FINDINGS
     pairs = [("experiment", "lions-check"), ("exit_code", code),
@@ -529,8 +544,9 @@ def cmd_lyapunov_check(rc: RunConfig) -> int:
     )
     floor = check_floor(scenario.model, scenario.lyap, rc.t_samples, probes, tolerance=tol)
     out = _out_dir(rc)
-    drift.to_csv(out / "lyapunov_drift.csv")
-    floor.to_csv(out / "lyapunov_floor.csv")
+    for name, rep in (("lyapunov_drift.csv", drift), ("lyapunov_floor.csv", floor)):
+        rows = [(r.probe, r.lhs, r.rhs, r.margin) for r in rep.rows]
+        _write_csv(out / name, ["probe", "lhs", "rhs", "margin"], rows)
     code = EX_OK if drift.passed() and floor.passed() else EX_FINDINGS
     pairs = [("experiment", "lyapunov-check"), ("exit_code", code),
              ("scenario", rc.scenario_name), ("probes", rc.probes),
@@ -569,14 +585,9 @@ def cmd_wasserstein(rc: RunConfig, path_a: str, path_b: str) -> int:
     if a.shape[1] != 1 or b.shape[1] != 1:
         raise ConfigError("wasserstein expects one-dimensional sample files")
     dist = wasserstein_p_1d(a[:, 0], b[:, 0], rc.wasserstein_p)
-    print(repr(dist))
-    out = _out_dir(rc)
-    with open(out / "wasserstein.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "n_a", "n_b", "distance"])
-        writer.writerow(
-            [repr(rc.wasserstein_p), a.shape[0], b.shape[0], repr(dist)]
-        )
+    print(_cell(dist))
+    row = (rc.wasserstein_p, a.shape[0], b.shape[0], dist)
+    _write_csv(_out_dir(rc) / "wasserstein.csv", ["p", "n_a", "n_b", "distance"], [row])
     return EX_OK
 
 

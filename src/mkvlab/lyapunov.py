@@ -23,10 +23,9 @@ integrated mode), where V_m is the boundary infimum of the floor function.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,7 +51,6 @@ __all__ = [
     "envelope_M",
     "envelope_Mplus",
     "exit_probability_bound",
-    "DEFAULT_QUAD_STEP",
 ]
 
 #: Quadrature step for envelope integrals when no closed form applies.
@@ -131,10 +129,10 @@ class Rate:
             )
         return np.maximum(out, 0.0) if self.rectified else out
 
-    def integral(self, t0: float, t1: float, step: float = DEFAULT_QUAD_STEP) -> float:
+    def integral(self, t0: float, t1: float) -> float:
         """∫_{t0}^{t1} m(s) ds, exact for constant/affine cores."""
         if t1 < t0:
-            return -self.integral(t1, t0, step)
+            return -self.integral(t1, t0)
         if t1 == t0:
             return 0.0
         if self.kind == "constant":
@@ -144,7 +142,7 @@ class Rate:
             if not self.rectified:
                 return self.c0 * (t1 - t0) + 0.5 * self.c1 * (t1**2 - t0**2)
             return _relu_affine_integral(self.c0, self.c1, t0, t1)
-        n = max(1, int(math.ceil((t1 - t0) / step)))
+        n = max(1, int(math.ceil((t1 - t0) / DEFAULT_QUAD_STEP)))
         ts = np.linspace(t0, t1, n + 1)
         return float(np.trapezoid(self.values(ts), ts))
 
@@ -207,7 +205,6 @@ class LyapunovSpec:
     floor_V: Callable[[float, np.ndarray], np.ndarray]
     boundary_infimum: Callable[[int], float]
     measure_factors: tuple[MeasureKernelFactor, ...] = ()
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in ("pointwise", "integrated"):
@@ -357,13 +354,6 @@ class CheckReport:
     def violations(self) -> list:
         return [r for r in self.rows if r.margin < -self.tolerance]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["probe", "lhs", "rhs", "margin"])
-            for r in self.rows:
-                w.writerow([r.probe, repr(r.lhs), repr(r.rhs), repr(r.margin)])
-
     def summary(self) -> str:
         lines = [f"{self.title}: {len(self.rows)} probes"]
         w = self.worst()
@@ -433,7 +423,6 @@ def check_local_bound(
     probes,
     levels,
     tolerance: float = 1e-9,
-    grid_points: int = 257,
 ) -> CheckReport:
     """Check sup_{x∈D_k} |b|, |σ| ≤ c_k(1 + ∫v dμ̂) for each level k.
 
@@ -448,7 +437,7 @@ def check_local_bound(
             lo, hi = model.ladder.box(k)
             pts = [cloud[model.ladder.contains(cloud, k)]]
             if model.dim == 1:  # boxes are bounded: they lie inside the open D
-                pts.append(np.linspace(lo[0], hi[0], grid_points)[:, None])
+                pts.append(np.linspace(lo[0], hi[0], 257)[:, None])
             xs = np.concatenate([p for p in pts if p.size], axis=0)
             if not xs.size:
                 continue
@@ -495,14 +484,14 @@ def _rates_of(lyap) -> tuple[Rate, Rate]:
     return Rate.of(m1), Rate.of(m2)
 
 
-def gamma(lyap, t: float, step: float = DEFAULT_QUAD_STEP) -> float:
+def gamma(lyap, t: float) -> float:
     """γ(t) = exp(−∫₀ᵗ m1(s) ds)."""
     m1, _ = _rates_of(lyap)
-    return math.exp(-m1.integral(0.0, t, step))
+    return math.exp(-m1.integral(0.0, t))
 
 
-def _grid(t: float, step: float) -> np.ndarray:
-    n = max(2, int(math.ceil(t / step)))
+def _grid(t: float) -> np.ndarray:
+    n = max(2, int(math.ceil(t / DEFAULT_QUAD_STEP)))
     return np.linspace(0.0, t, n + 1)
 
 
@@ -524,11 +513,12 @@ def _int_exp_affine(a: float, d0: float, d1: float, t: float) -> float:
     return d0 * e1 + d1 * e2
 
 
-def envelope_M(lyap, ev0: float, t: float, step: float = DEFAULT_QUAD_STEP) -> float:
+def envelope_M(lyap, ev0: float, t: float) -> float:
     """M(t) = Ev₀/γ(t) + ∫₀ᵗ (γ(s)/γ(t)) m2(s) ds.
 
     Closed forms when m1 is constant and m2 constant or affine (all
-    built-ins); otherwise cumulative-trapezoid quadrature at ``step``.
+    built-ins); otherwise cumulative-trapezoid quadrature at
+    ``DEFAULT_QUAD_STEP``.
     """
     if ev0 < 0:
         raise ValueError("initial expected Lyapunov value must be >= 0")
@@ -544,25 +534,25 @@ def envelope_M(lyap, ev0: float, t: float, step: float = DEFAULT_QUAD_STEP) -> f
         a = m1.c0
         growth = ev0 * math.exp(a * t)
         return growth + _int_exp_affine(a, m2.c0, m2.c1 if m2.kind == "affine" else 0.0, t)
-    ts = _grid(t, step)
+    ts = _grid(t)
     c1 = _cum_integral(m1, ts)  # ∫₀^s m1
     weights = np.exp(c1[-1] - c1) * m2.values(ts)  # e^{∫_s^t m1} m2(s)
     return float(ev0 * math.exp(c1[-1]) + np.trapezoid(weights, ts))
 
 
-def envelope_Mplus(lyap, ev0: float, t: float, step: float = DEFAULT_QUAD_STEP) -> float:
+def envelope_Mplus(lyap, ev0: float, t: float) -> float:
     """M⁺(t) = exp(∫₀ᵗ m1⁺) · (Ev₀ + ∫₀ᵗ γ(s) m2⁺(s) ds) ≥ M(t)."""
     if ev0 < 0:
         raise ValueError("initial expected Lyapunov value must be >= 0")
     m1, m2 = _rates_of(lyap)
     if t == 0.0:
         return float(ev0)
-    lead = math.exp(m1.pos().integral(0.0, t, step))
+    lead = math.exp(m1.pos().integral(0.0, t))
     if m1.kind == "constant" and m2.kind == "constant" and not m2.rectified:
         a, cp = m1.c0, max(m2.c0, 0.0)
         inner = cp * t if a == 0.0 else cp * (1.0 - math.exp(-a * t)) / a
         return lead * (ev0 + inner)
-    ts = _grid(t, step)
+    ts = _grid(t)
     c1 = _cum_integral(m1, ts)
     inner = float(np.trapezoid(np.exp(-c1) * m2.pos().values(ts), ts))
     return lead * (ev0 + inner)
@@ -575,7 +565,6 @@ def exit_probability_bound(
     m: int,
     p0_out: float = 0.0,
     kind: str = "cut",
-    step: float = DEFAULT_QUAD_STEP,
 ) -> float:
     """Upper bound for domain-exit probabilities at ladder level m.
 
@@ -600,11 +589,11 @@ def exit_probability_bound(
             "bound is vacuous (degenerate floor)"
         )
     if kind == "cut":
-        return p0_out + envelope_M(lyap, ev0, t, step) / v_m
+        return p0_out + envelope_M(lyap, ev0, t) / v_m
     if kind == "sublevel":
         if lyap.mode != "pointwise":
             raise ValueError("sub-level bound requires the pointwise mode")
-        return p0_out + envelope_Mplus(lyap, ev0, t, step) / v_m
+        return p0_out + envelope_Mplus(lyap, ev0, t) / v_m
     if kind == "marginal":
-        return envelope_M(lyap, ev0, t, step) / v_m
+        return envelope_M(lyap, ev0, t) / v_m
     raise ValueError(f"unknown bound kind {kind!r}")

@@ -55,9 +55,9 @@ _LEVEL_EPS = 1e-9
 class EmpiricalMeasure:
     """Uniform probability measure on N sample points of shape (N, d).
 
-    A thin view over a sample array with a cached per-axis sort; scalar
-    functionals require d = 1. ``scratch``, an (N,) float64 buffer, is
-    where ``smallest`` partitions instead of in a fresh copy; it is
+    A thin view over a sample array with a cached sort of coordinate 0;
+    scalar functionals require d = 1. ``scratch``, an (N,) float64 buffer,
+    is where ``smallest`` partitions instead of in a fresh copy; it is
     overwritten, and what ``smallest`` returns is a view of it.
 
     Samples must be finite. ``_finite`` is for the Euler engine only: it
@@ -90,13 +90,11 @@ class EmpiricalMeasure:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    def sorted_axis(self, axis: int = 0) -> np.ndarray:
-        """Sorted copy of one coordinate (cached for axis 0 of d=1 data)."""
-        if self.dim == 1 and axis == 0:
-            if self._sorted is None:
-                self._sorted = np.sort(self.samples[:, 0])
-            return self._sorted
-        return np.sort(self.samples[:, axis])
+    def sorted_axis(self) -> np.ndarray:
+        """Sorted copy of coordinate 0, cached."""
+        if self._sorted is None:
+            self._sorted = np.sort(self.samples[:, 0])
+        return self._sorted
 
     def smallest(self, k: int) -> np.ndarray:
         """The k smallest values of coordinate 0, ascending.

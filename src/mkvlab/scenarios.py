@@ -139,7 +139,6 @@ def _example2(alpha: float = -0.5, sigma: float = 0.5) -> Scenario:
                 y_hess=None,
             ),
         ),
-        params={"alpha": alpha, "sigma": sigma, "m": m},
     )
     return Scenario(model, lyap, PointMass(1.0))
 
@@ -196,7 +195,6 @@ def _example3(
         m2=Rate.constant(0.5 * kappa**2 + kappa * theta),
         floor_V=lambda t, x: v(t, x),
         boundary_infimum=lambda k: float(k) ** 2 + float(k) ** -2.0,
-        params={"kappa": kappa, "theta": theta, "sigma": sigma, "alpha": alpha},
     )
     return Scenario(model, lyap, PointMass(1.0))
 
@@ -227,7 +225,6 @@ def _linear_meanfield(
         m2=Rate.constant(sigma**2),
         floor_V=lambda t, x: x[:, 0] ** 2,
         boundary_infimum=lambda k: float(k) ** 2,
-        params={"a": a, "b": b, "sigma": sigma},
     )
     # Coupled generator on v̄ = z²: 2Δ(aΔ + b·δmean) ≤ (2a+|b|)v̄ + |b|·W_v̄
     # (pointwise, since δmean² ≤ ∫Δ²dπ for every coupling); averaging the
@@ -263,7 +260,6 @@ def _scheutzow_clip(sigma0: float = 0.4) -> Scenario:
         m2=Rate.constant(1.0 + sigma0**2),
         floor_V=lambda t, x: x[:, 0] ** 2,
         boundary_infimum=lambda k: float(k) ** 2,
-        params={"sigma0": sigma0},
     )
     # 2Δ(−Δ + δc̄) ≤ −v̄ + δc̄² and δc̄² ≤ W_v̄ because clip is 1-Lipschitz;
     # under a coupling, Cauchy–Schwarz gives zero net growth instead.

@@ -630,20 +630,6 @@ class DiagnosticsSeries:
         j = self.columns.index(name)
         return np.array([row[j] for row in self.rows], dtype=float)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-    def summary_lines(self) -> list:
-        lines = [f"{k} = {v}" for k, v in sorted(self.meta.items())]
-        last = self.rows[-1]
-        lines += [
-            f"final.{c} = {repr(float(x))}" for c, x in zip(self.columns, last)
-        ]
-        return lines
-
 
 def _mc_band(values: np.ndarray) -> float:
     """3·sd/√n (ddof = 1), the 3σ Monte Carlo width of ``values``' mean."""

@@ -16,6 +16,7 @@ from mkvlab.analysis import (
     stability_experiment,
     stationary_estimate,
 )
+from mkvlab.cli import main
 from mkvlab.lyapunov import Rate
 from mkvlab.measure import wasserstein_p_1d
 from mkvlab.model import DomainLadder, ModelSpec
@@ -80,12 +81,21 @@ def test_report_rejects_negative_bounds():
 
 
 def test_report_csv_layout(tmp_path):
-    r = report_of([1.0, 0.5], [1.0, 0.6])
-    path = tmp_path / "stab.csv"
-    r.to_csv(path)
-    lines = path.read_text().splitlines()
+    # the stability subcommand writes one row per checkpoint
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "scenario.name = linear-meanfield\n"
+        "sim.n_particles = 16\n"
+        "sim.horizon = 0.5\n"
+        "sim.steps_per_unit = 20\n"
+        "sim.cut_level = 8\n"
+        "sim.checkpoints = 0.0 0.25 0.5\n"
+    )
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "stability.csv").read_text().splitlines()
     assert lines[0] == "t,measured,bound,band,margin"
-    assert len(lines) == 3
+    assert len(lines) == 1 + 3
 
 
 # ---------------------------------------------------------------------------

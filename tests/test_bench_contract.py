@@ -140,6 +140,17 @@ def test_cir_output_check_reads_the_emitted_files(bench, tmp_path):
     assert workloads.check_cir(files, rc) == []
 
 
+@pytest.mark.parametrize("name", ["coupled-small", "stationary-t2"])
+def test_workload_output_check_passes_on_its_emitted_files(bench, tmp_path, name):
+    # the check the benchmark runs on every operation, at the bench config,
+    # so a layout slip in the CLI's writers fails here first
+    _, workloads = bench
+    w = workloads.build(name, 0, tmp_path)
+    w.warm_up()
+    digest, problems = w.inspect(0)
+    assert digest is not None and problems == []
+
+
 def test_setup_probe_reports_its_three_timings_for_every_workload(bench, tmp_path):
     # the benchmark's setup_s is what bench/probe.py prints, run in a fresh
     # interpreter on each workload's config text with src on PYTHONPATH

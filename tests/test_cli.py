@@ -10,6 +10,8 @@ from mkvlab.cli import (
     ConfigError,
     RunConfig,
     _resolve,
+    _write_csv,
+    _write_summary,
     build_parser,
     main,
     parse_config,
@@ -632,3 +634,19 @@ def test_every_csv_ends_its_lines_with_a_bare_newline(tmp_path):
         assert csvs, command
         for path in csvs:
             assert b"\r" not in path.read_bytes(), path.name
+
+
+def test_numpy_scalars_are_written_as_plain_numbers(tmp_path):
+    # a library value may be a numpy scalar; its repr is not a number
+    summary = tmp_path / "summary.txt"
+    _write_summary(summary, [("x", np.float64(0.1)), ("n", np.int64(3)), ("ok", True)])
+    assert summary.read_bytes() == b"x = 0.1\nn = 3\nok = True\n"
+    table = tmp_path / "table.csv"
+    _write_csv(
+        table,
+        ["probe", "lhs", "count"],
+        [("t=0.5:rep(1,2)", np.float64(14.25), np.int32(2)), ("cloud00@t=0", 1e-300, 7)],
+    )
+    assert table.read_bytes() == (
+        b'probe,lhs,count\n"t=0.5:rep(1,2)",14.25,2\ncloud00@t=0,1e-300,7\n'
+    )

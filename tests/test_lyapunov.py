@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import quartic_lyap
+from mkvlab.cli import main
 from mkvlab.lyapunov import (
     Rate,
     check_floor,
@@ -365,10 +366,17 @@ def test_fitted_growth_constant_is_tight():
 
 
 def test_report_csv_layout(tmp_path):
-    sc = builtin_scenario("example1-quartic")
-    report = check_lyapunov_condition(sc.model, sc.lyap, (0.0,), probe_clouds(2))
-    path = tmp_path / "report.csv"
-    report.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "probe,lhs,rhs,margin"
-    assert len(lines) == 1 + len(report.rows)
+    # lyapunov-check writes one row per (probe cloud, time sample) to each CSV
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "scenario.name = example1-quartic\n"
+        "lyapunov.probes = 2\n"
+        "lyapunov.probe_atoms = 16\n"
+        "lyapunov.t_samples = 0.0 0.5\n"
+    )
+    out = tmp_path / "out"
+    assert main(["lyapunov-check", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("lyapunov_drift.csv", "lyapunov_floor.csv"):
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == "probe,lhs,rhs,margin"
+        assert len(lines) == 1 + 2 * 2

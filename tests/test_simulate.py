@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from mkvlab.analysis import scheutzow_probe
+from mkvlab.cli import main, parse_config
 from mkvlab.lions import ito_residual_full, ito_residual_measure, moment_function
 from mkvlab.measure import evaluate_functionals
 from mkvlab.model import (
@@ -572,14 +573,29 @@ def test_series_columns_track_snapshots():
 
 
 def test_csv_round_trip(tmp_path):
+    # the simulate subcommand writes the library's series: its header, every
+    # cell and the final.* summary lines parse back to the same values
+    text = (
+        "scenario.name = example1-quartic\n"
+        "sim.n_particles = 50\n"
+        "sim.horizon = 0.5\n"
+        "sim.steps_per_unit = 20\n"
+        "sim.cut_level = 4\n"
+        "sim.seed = 3\n"
+    )
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     sc = builtin_scenario("example1-quartic")
-    series = simulate(sc.model, sc.lyap, small_cfg(), sc.default_init)
-    path = tmp_path / "diag.csv"
-    series.to_csv(path)
-    header = path.read_text().splitlines()[0]
+    series = simulate(sc.model, sc.lyap, parse_config(text).sim_config(), sc.default_init)
+    header, *lines = (out / "diagnostics.csv").read_text().splitlines()
     assert header.split(",") == series.columns
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(back, np.array([[float(v) for v in row] for row in series.rows]))
+    want = [[float(v) for v in row] for row in series.rows]
+    assert [[float(c) for c in line.split(",")] for line in lines] == want
+    summary = (out / "summary.txt").read_text().splitlines()
+    final = dict(line.split(" = ", 1) for line in summary if line.startswith("final."))
+    assert [float(final[f"final.{c}"]) for c in series.columns] == want[-1]
 
 
 # ---------------------------------------------------------------------------
