@@ -41,8 +41,6 @@ from .lyapunov import (
     envelope_M,
     envelope_Mplus,
     exit_probability_bound,
-    gamma,
-    generator,
     generator_values,
     integrated_generator,
 )
@@ -116,8 +114,6 @@ __all__ = [
     "evaluate_functionals",
     "exit_probability_bound",
     "expected_shortfall",
-    "gamma",
-    "generator",
     "generator_values",
     "integrated_generator",
     "ito_residual_full",

@@ -63,7 +63,7 @@ POOL_CAP = 10**6
 
 
 def _abs_integral(rate: Rate, t: float) -> float:
-    # |r| = 2r⁺ − r, keeping the exact closed forms for affine cores
+    # |r| = 2r⁺ − r, exact for a constant rate
     return 2.0 * rate.pos().integral(0.0, t) - rate.integral(0.0, t)
 
 
@@ -310,9 +310,9 @@ def stationary_estimate(
     horizon, the declared functionals of the pooled samples and the W₁ gap
     to the previous horizon's occupation measure (nan for the first).
 
-    When a Lyapunov package is supplied and its decay rate m1(t) dips below
-    zero anywhere on [0, T] — so the envelope M(t) can grow without bound —
-    a warning is emitted and the estimate proceeds.
+    When a Lyapunov package is supplied and its rate m1(t) is positive
+    anywhere on [0, T] — so the envelope M(t) can grow without bound — a
+    warning is emitted and the estimate proceeds.
     """
     horizons = sorted(float(t) for t in horizons)
     if not horizons or horizons[0] <= 0:

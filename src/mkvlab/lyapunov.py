@@ -23,7 +23,6 @@ integrated mode), where V_m is the boundary infimum of the floor function.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,14 +39,12 @@ __all__ = [
     "LyapunovSpec",
     "CheckRow",
     "CheckReport",
-    "generator",
     "generator_values",
     "integrated_generator",
     "check_lyapunov_condition",
     "check_floor",
     "check_local_bound",
     "fit_growth_constant",
-    "gamma",
     "envelope_M",
     "envelope_Mplus",
     "exit_probability_bound",
@@ -67,21 +64,17 @@ REFERENCE_CAP = 2000
 
 @dataclass(frozen=True)
 class Rate:
-    """Scalar rate t ↦ m(t) with exact integrals where the form allows.
-
-    ``kind`` is one of ``constant`` (value c0), ``affine`` (c0 + c1·t) or
-    ``callable``. With ``rectified=True`` the positive part max(m(t), 0) is
-    used; its integral stays exact for constant and affine cores.
+    """Scalar rate t ↦ m(t): a ``constant`` c0, integrated exactly, or a
+    ``callable`` fn(t), integrated by the trapezoid rule at
+    ``DEFAULT_QUAD_STEP``.
     """
 
     kind: str
     c0: float = 0.0
-    c1: float = 0.0
     fn: Callable[[float], float] | None = None
-    rectified: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("constant", "affine", "callable"):
+        if self.kind not in ("constant", "callable"):
             raise ValueError(f"unknown rate kind {self.kind!r}")
         if self.kind == "callable" and self.fn is None:
             raise ValueError("callable rate requires fn")
@@ -89,10 +82,6 @@ class Rate:
     @staticmethod
     def constant(value: float) -> "Rate":
         return Rate("constant", c0=float(value))
-
-    @staticmethod
-    def affine(c0: float, c1: float) -> "Rate":
-        return Rate("affine", c0=float(c0), c1=float(c1))
 
     @staticmethod
     def of(obj) -> "Rate":
@@ -103,64 +92,31 @@ class Rate:
         return Rate.constant(float(obj))
 
     def pos(self) -> "Rate":
-        """The rate t ↦ max(m(t), 0)."""
-        return dataclasses.replace(self, rectified=True)
-
-    def _core(self, t: float) -> float:
+        """The rate t ↦ max(m(t), 0), of the same kind."""
         if self.kind == "constant":
-            return self.c0
-        if self.kind == "affine":
-            return self.c0 + self.c1 * t
-        return float(self.fn(t))
+            return Rate.constant(max(self.c0, 0.0))
+        return Rate("callable", fn=lambda t: max(self(t), 0.0))
 
     def __call__(self, t: float) -> float:
-        val = self._core(t)
-        return max(val, 0.0) if self.rectified else val
+        return self.c0 if self.kind == "constant" else float(self.fn(t))
 
     def values(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         if self.kind == "constant":
-            out = np.full(ts.shape, self.c0)
-        elif self.kind == "affine":
-            out = self.c0 + self.c1 * ts
-        else:
-            out = np.array([float(self.fn(s)) for s in ts.ravel()]).reshape(
-                ts.shape
-            )
-        return np.maximum(out, 0.0) if self.rectified else out
+            return np.full(ts.shape, self.c0)
+        return np.array([self(s) for s in ts.ravel()]).reshape(ts.shape)
 
     def integral(self, t0: float, t1: float) -> float:
-        """∫_{t0}^{t1} m(s) ds, exact for constant/affine cores."""
+        """∫_{t0}^{t1} m(s) ds, exact for a constant."""
         if t1 < t0:
             return -self.integral(t1, t0)
         if t1 == t0:
             return 0.0
         if self.kind == "constant":
-            lo = max(self.c0, 0.0) if self.rectified else self.c0
-            return lo * (t1 - t0)
-        if self.kind == "affine":
-            if not self.rectified:
-                return self.c0 * (t1 - t0) + 0.5 * self.c1 * (t1**2 - t0**2)
-            return _relu_affine_integral(self.c0, self.c1, t0, t1)
+            return self.c0 * (t1 - t0)
         n = max(1, int(math.ceil((t1 - t0) / DEFAULT_QUAD_STEP)))
         ts = np.linspace(t0, t1, n + 1)
         return float(np.trapezoid(self.values(ts), ts))
-
-
-def _relu_affine_integral(c0: float, c1: float, t0: float, t1: float) -> float:
-    """∫_{t0}^{t1} max(c0 + c1·s, 0) ds, exact."""
-    if c1 == 0.0:
-        return max(c0, 0.0) * (t1 - t0)
-
-    def anti(s: float) -> float:
-        return c0 * s + 0.5 * c1 * s**2
-
-    root = -c0 / c1
-    if c1 > 0:  # positive for s ≥ root
-        lo = min(max(root, t0), t1)
-        return anti(t1) - anti(lo)
-    hi = max(min(root, t1), t0)  # positive for s ≤ root
-    return anti(hi) - anti(t0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,31 +227,16 @@ def generator_values(
     return out
 
 
-def generator(model, lyap, t, x, mu, fv: dict | None = None) -> float:
-    """L^μ v at a single point x against the cloud ``mu``."""
-    vals = generator_values(model, lyap, t, np.atleast_1d(x), mu, fv)
-    if vals.shape[0] != 1:
-        raise ValueError("generator() takes one point; use generator_values")
-    return float(vals[0])
+def integrated_generator(model, lyap, t, mu, fv: dict | None = None) -> float:
+    """∫ L^μ v dμ̂ over the cloud, from the full pairwise kernel.
 
-
-def integrated_generator(
-    model, lyap, t, mu, fv: dict | None = None, method: str = "fast"
-) -> float:
-    """∫ L^μ v dμ̂ over the cloud.
-
-    ``method="fast"`` shares the per-factor inner averages (O(N));
-    ``method="reference"`` materializes the full pairwise kernel
-    ∂_μ v(x_i)(y_j) and reduces it directly (O(N²), capped at N=2000),
-    as an independent check of the separable collapse.
+    Materializes ∂_μ v(x_i)(y_j) and reduces it directly (O(N²), capped at
+    N=2000): an independent check of the separable collapse that
+    ``generator_values`` makes in O(N).
     """
     mu = _as_cloud(mu)
     if fv is None:
         fv = evaluate_functionals(model.functionals, mu)
-    if method == "fast":
-        return float(tree_mean(generator_values(model, lyap, t, mu, mu, fv)))
-    if method != "reference":
-        raise ValueError(f"unknown method {method!r}")
     n = mu.shape[0]
     if n > REFERENCE_CAP:
         raise ValueError(f"reference path capped at N={REFERENCE_CAP}, got {n}")
@@ -484,10 +425,18 @@ def _rates_of(lyap) -> tuple[Rate, Rate]:
     return Rate.of(m1), Rate.of(m2)
 
 
-def gamma(lyap, t: float) -> float:
-    """γ(t) = exp(−∫₀ᵗ m1(s) ds)."""
-    m1, _ = _rates_of(lyap)
-    return math.exp(-m1.integral(0.0, t))
+def _exp(x: float) -> float:
+    """math.exp, saturating at +inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _times(c: float, e: float) -> float:
+    """c·e where e may have saturated at +inf: a zero coefficient keeps its
+    term at 0 instead of the nan of 0·inf."""
+    return c * e if c else 0.0
 
 
 def _grid(t: float) -> np.ndarray:
@@ -496,66 +445,62 @@ def _grid(t: float) -> np.ndarray:
 
 
 def _cum_integral(rate: Rate, ts: np.ndarray) -> np.ndarray:
-    """Cumulative ∫₀^{ts} of the rate on the grid (trapezoid; exact for
-    constant/affine cores since the trapezoid rule is exact on affine
-    integrands)."""
+    """Cumulative ∫₀^{ts} of the rate on the grid (trapezoid; exact for a
+    constant)."""
     vals = rate.values(ts)
     seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(ts)
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def _int_exp_affine(a: float, d0: float, d1: float, t: float) -> float:
-    """∫₀ᵗ e^{a(t−s)} (d0 + d1·s) ds, exact."""
-    if a == 0.0:
-        return d0 * t + 0.5 * d1 * t**2
-    e1 = (math.exp(a * t) - 1.0) / a
-    e2 = -t / a + (math.exp(a * t) - 1.0) / a**2
-    return d0 * e1 + d1 * e2
+def _weighted_quadrature(log_weight: np.ndarray, rate: Rate, ts: np.ndarray) -> float:
+    """∫ e^{log_weight(s)} rate(s) ds over the grid, by the trapezoid rule;
+    the integrand is 0 wherever the rate is, however large the weight."""
+    vals = rate.values(ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        integrand = np.where(vals == 0.0, 0.0, vals * np.exp(log_weight))
+        return float(np.trapezoid(integrand, ts))
 
 
 def envelope_M(lyap, ev0: float, t: float) -> float:
     """M(t) = Ev₀/γ(t) + ∫₀ᵗ (γ(s)/γ(t)) m2(s) ds.
 
-    Closed forms when m1 is constant and m2 constant or affine (all
-    built-ins); otherwise cumulative-trapezoid quadrature at
-    ``DEFAULT_QUAD_STEP``.
+    Closed form when both rates are constant (all built-ins); otherwise
+    cumulative-trapezoid quadrature at ``DEFAULT_QUAD_STEP``. Past the float
+    range an exponential saturates at +inf, and a zero Ev₀ or m2 keeps its
+    term at 0.
     """
     if ev0 < 0:
         raise ValueError("initial expected Lyapunov value must be >= 0")
     m1, m2 = _rates_of(lyap)
     if t == 0.0:
         return float(ev0)
-    if (
-        m1.kind == "constant"
-        and not m1.rectified
-        and m2.kind in ("constant", "affine")
-        and not m2.rectified
-    ):
-        a = m1.c0
-        growth = ev0 * math.exp(a * t)
-        return growth + _int_exp_affine(a, m2.c0, m2.c1 if m2.kind == "affine" else 0.0, t)
+    if m1.kind == m2.kind == "constant":
+        a, c = m1.c0, m2.c0
+        if a == 0.0:
+            return ev0 + c * t
+        e = _exp(a * t)
+        return _times(ev0, e) + _times(c, (e - 1.0) / a)
     ts = _grid(t)
-    c1 = _cum_integral(m1, ts)  # ∫₀^s m1
-    weights = np.exp(c1[-1] - c1) * m2.values(ts)  # e^{∫_s^t m1} m2(s)
-    return float(ev0 * math.exp(c1[-1]) + np.trapezoid(weights, ts))
+    c1 = _cum_integral(m1, ts)  # ∫₀^s m1, so c1[-1] − c1 = ∫_s^t m1
+    return _times(ev0, _exp(c1[-1])) + _weighted_quadrature(c1[-1] - c1, m2, ts)
 
 
 def envelope_Mplus(lyap, ev0: float, t: float) -> float:
-    """M⁺(t) = exp(∫₀ᵗ m1⁺) · (Ev₀ + ∫₀ᵗ γ(s) m2⁺(s) ds) ≥ M(t)."""
+    """M⁺(t) = exp(∫₀ᵗ m1⁺) · (Ev₀ + ∫₀ᵗ γ(s) m2⁺(s) ds) ≥ M(t), saturating
+    at +inf as ``envelope_M`` does."""
     if ev0 < 0:
         raise ValueError("initial expected Lyapunov value must be >= 0")
     m1, m2 = _rates_of(lyap)
     if t == 0.0:
         return float(ev0)
-    lead = math.exp(m1.pos().integral(0.0, t))
-    if m1.kind == "constant" and m2.kind == "constant" and not m2.rectified:
+    lead = _exp(m1.pos().integral(0.0, t))
+    if m1.kind == m2.kind == "constant":
         a, cp = m1.c0, max(m2.c0, 0.0)
-        inner = cp * t if a == 0.0 else cp * (1.0 - math.exp(-a * t)) / a
-        return lead * (ev0 + inner)
-    ts = _grid(t)
-    c1 = _cum_integral(m1, ts)
-    inner = float(np.trapezoid(np.exp(-c1) * m2.pos().values(ts), ts))
-    return lead * (ev0 + inner)
+        inner = cp * t if a == 0.0 else _times(cp, 1.0 - _exp(-a * t)) / a
+    else:
+        ts = _grid(t)
+        inner = _weighted_quadrature(-_cum_integral(m1, ts), m2.pos(), ts)
+    return _times(ev0 + inner, lead)
 
 
 def exit_probability_bound(

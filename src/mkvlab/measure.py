@@ -198,7 +198,7 @@ def evaluate_functionals(
         elif tag.kind == "mean":
             fv[tag.key] = float(tree_mean(mu.scalar()))
         elif tag.kind == "clipped-mean":
-            fv[tag.key] = float(tree_mean(np.clip(mu.scalar(), tag.lo, tag.hi)))
+            fv[tag.key] = float(tree_mean(np.clip(mu.scalar(), -1.0, 1.0)))
         elif tag.kind == "quantile":
             fv[tag.key] = quantile(mu, tag.alpha)
         elif tag.kind == "expected-shortfall":

@@ -167,7 +167,7 @@ class MeasureFunctionalTag:
     """A declared functional of the empirical law.
 
     kinds: ``raw-moment`` (order p), ``mean``, ``clipped-mean``
-    (∫ clip(y, lo, hi) μ(dy), the saturated interaction of the
+    (∫ clip(y, −1, 1) μ(dy), the saturated interaction of the
     Scheutzow-style scenario), ``quantile`` (level α) and
     ``expected-shortfall`` (level α).
     """
@@ -175,8 +175,6 @@ class MeasureFunctionalTag:
     kind: str
     p: float | None = None
     alpha: float | None = None
-    lo: float = -1.0
-    hi: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _FUNCTIONAL_KINDS:
@@ -187,8 +185,6 @@ class MeasureFunctionalTag:
         if self.kind in ("quantile", "expected-shortfall"):
             if self.alpha is None or not (0.0 < self.alpha <= 1.0):
                 raise ValueError(f"{self.kind} level must lie in (0, 1]")
-        if self.kind == "clipped-mean" and not self.lo < self.hi:
-            raise ValueError("clipped-mean needs lo < hi")
 
     @property
     def key(self) -> str:

@@ -236,7 +236,7 @@ def _linear_meanfield(
 def _scheutzow_clip(sigma0: float = 0.4) -> Scenario:
     if sigma0 < 0:
         raise ValueError("scheutzow-clip needs σ₀ ≥ 0")
-    tag = MeasureFunctionalTag("clipped-mean", lo=-1.0, hi=1.0)
+    tag = MeasureFunctionalTag("clipped-mean")
     model = ModelSpec(
         name="scheutzow-clip",
         dim=1,

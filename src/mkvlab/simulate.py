@@ -465,23 +465,18 @@ class ParticleCloud:
         """Stamp ``step``, in place, on particles seen outside D_m for the
         first time; return how many it stamped at the outermost level. The
         boxes nest: outer ones are tested only on rows outside the innermost."""
-        stamped = 0
-        for j, (m, rec) in enumerate(self.exit_step.items()):
-            if not j:  # the innermost box: a mask of the cloud
+        stamped, rows = 0, None
+        for m, rec in self.exit_step.items():
+            if rows is None:  # the innermost box: a mask of the cloud
                 inside = model.ladder.contains(self.x, m)
                 if inside.all():
                     return 0  # every row is inside the outer boxes too
-                fresh = rec < 0
-                np.greater(fresh, inside, out=fresh)  # fresh & ~inside
-                stamped = np.count_nonzero(fresh)
-                if stamped:
-                    np.copyto(rec, step, where=fresh)
-            else:  # by index, the rows outside the box within this one
-                rows = np.flatnonzero(~inside) if j == 1 else rows
+                rows = np.nonzero(~inside)[0]
+            else:  # the rows outside the box within this one
                 rows = rows[~model.ladder.contains(self.x[rows], m)]
-                fresh = rows[rec[rows] < 0]
-                rec[fresh] = step
-                stamped = fresh.size
+            fresh = rows[rec[rows] < 0]
+            rec[fresh] = step
+            stamped = fresh.size
         return stamped
 
 

@@ -410,6 +410,24 @@ def test_blow_up_exits_with_step_and_time(tmp_path, capsys):
     assert "blow-up at step" in capsys.readouterr().err
 
 
+def test_an_infinite_envelope_exits_3_without_a_traceback(tmp_path, capsys):
+    # m1 = +1, so M(720) = e^720·(ev0 + 2) − 2 is past the float range
+    cfg = write_cfg(
+        tmp_path,
+        "scenario.name = example3-cir\n"
+        "init = point 1.0\n"
+        "sim.n_particles = 10\n"
+        "sim.horizon = 720\n"
+        "sim.steps_per_unit = 1\n",
+    )
+    out = tmp_path / "inf"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    summary = (out / "summary.txt").read_text()
+    assert "final.M = inf\n" in summary
+    assert "final.M_plus = inf\n" in summary
+
+
 def test_negative_tolerance_turns_any_mass_into_findings(tmp_path):
     # tolerance -1 collapses the envelope to zero, so a healthy run reports
     # findings; this pins the findings exit path deterministically

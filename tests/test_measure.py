@@ -476,7 +476,7 @@ def test_evaluate_functionals_matches_direct_calls():
         MeasureFunctionalTag("mean"),
         MeasureFunctionalTag("quantile", alpha=0.5),
         MeasureFunctionalTag("expected-shortfall", alpha=0.05),
-        MeasureFunctionalTag("clipped-mean", lo=-1.0, hi=1.0),
+        MeasureFunctionalTag("clipped-mean"),
     )
     fv = evaluate_functionals(tags, x)
     assert fv["m4"] == moment(x, 4)
