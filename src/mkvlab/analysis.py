@@ -128,7 +128,7 @@ def stability_experiment(
     g_rate = None if g is None else Rate.of(g)
     if mode == "pointwise" and g_rate is None:
         raise ValueError("pointwise stability bound needs the rate g")
-    _, _, dist = coupled_simulate(model, cfg, init1, init2, vbar)
+    dist = coupled_simulate(model, cfg, init1, init2, vbar)
     times = dist.column("t")
     measured = dist.column("dist")
     band = dist.column("band")
@@ -145,8 +145,6 @@ def stability_experiment(
     else:
         exponents = np.array([h.integral(0.0, t) for t in times])
     bound = ev0 * np.exp(exponents)
-    meta = dict(dist.meta)
-    meta["ev0"] = ev0
     return StabilityReport(
         times=times,
         measured=measured,
@@ -156,7 +154,7 @@ def stability_experiment(
         g=g_rate,
         h=h,
         tolerance=tolerance,
-        meta=meta,
+        meta={**dist.meta, "ev0": ev0},
     )
 
 
@@ -341,7 +339,7 @@ def stationary_estimate(
                 f"1/{cfg.steps_per_unit}"
             )
         marks = np.arange(0.0, t_max + spacing / 2, spacing)
-        run_cfg = replace(run_cfg, checkpoints=tuple(marks))
+        run_cfg = replace(run_cfg, checkpoints=marks)
     occupations, fill = _plan_pools(run_cfg, horizons)
     series = simulate(model, lyap, run_cfg, init, _on_checkpoint=fill)
     columns = ["horizon"] + list(model.functional_keys()) + ["w1_prev"]

@@ -467,7 +467,9 @@ def envelope_M(lyap, ev0: float, t: float) -> float:
     Closed form when both rates are constant (all built-ins); otherwise
     cumulative-trapezoid quadrature at ``DEFAULT_QUAD_STEP``. Past the float
     range an exponential saturates at +inf, and a zero Ev₀ or m2 keeps its
-    term at 0.
+    term at 0. Where a negative m2 makes the two terms inf − inf, M =
+    (Ev₀ + ∫₀ᵗ γ m2)/γ(t) reads as its limit, ±inf by the bracket's sign;
+    constant rates give the bracket Ev₀ + m2/m1, and −m2/m1 when it is 0.
     """
     if ev0 < 0:
         raise ValueError("initial expected Lyapunov value must be >= 0")
@@ -479,10 +481,15 @@ def envelope_M(lyap, ev0: float, t: float) -> float:
         if a == 0.0:
             return ev0 + c * t
         e = _exp(a * t)
-        return _times(ev0, e) + _times(c, (e - 1.0) / a)
+        out = _times(ev0, e) + _times(c, (e - 1.0) / a)
+        return _times(ev0 + c / a, e) - c / a if math.isnan(out) else out
     ts = _grid(t)
     c1 = _cum_integral(m1, ts)  # ∫₀^s m1, so c1[-1] − c1 = ∫_s^t m1
-    return _times(ev0, _exp(c1[-1])) + _weighted_quadrature(c1[-1] - c1, m2, ts)
+    e = _exp(c1[-1])
+    out = _times(ev0, e) + _weighted_quadrature(c1[-1] - c1, m2, ts)
+    if math.isnan(out):
+        return _times(ev0 + _weighted_quadrature(-c1, m2, ts), e)
+    return out
 
 
 def envelope_Mplus(lyap, ev0: float, t: float) -> float:

@@ -290,7 +290,6 @@ class VBarKernel:
 
     fn: Callable[[np.ndarray], np.ndarray]
     convex: bool
-    label: str
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return self.fn(z)
@@ -300,9 +299,7 @@ def vbar_power(p: float) -> VBarKernel:
     """v̄(z) = |z|^p; convex for p ≥ 1."""
     if p <= 0:
         raise ValueError("kernel exponent must be positive")
-    return VBarKernel(
-        fn=lambda z: np.abs(z) ** p, convex=p >= 1.0, label=f"|z|^{p:g}"
-    )
+    return VBarKernel(fn=lambda z: np.abs(z) ** p, convex=p >= 1.0)
 
 
 def _validate_kernel(vbar, probe: np.ndarray) -> None:

@@ -238,9 +238,11 @@ class SimConfig:
     ``steps_per_unit`` is the grid density n (Δt = 1/n), and ``horizon``
     must lie on that grid: h·n within 1e-9 relative of an integer in
     [1, 2³¹ − 1] (the int32 exit records), so a run ends at t = horizon
-    exactly. ``cut_level`` is the localization level k; ``exit_levels``
-    lists the ladder levels m ≤ k whose first-exit steps are tracked (the
-    cut level itself always is). Levels are integers: integral floats are
+    exactly. Given ``checkpoints`` (any sequence) must be grid times by that
+    rule, in [0, horizon]; the default 51 even times round to the nearest
+    step. ``cut_level`` is the localization level k; ``exit_levels`` lists
+    the ladder levels m ≤ k whose first-exit steps are tracked (the cut
+    level itself always is). Levels are integers: integral floats are
     converted, anything else is rejected. There is no worker count: the
     engine is serial, and the CLI's ``--threads`` has no effect.
     """
@@ -270,6 +272,17 @@ class SimConfig:
             )
         if k > 2**31 - 1:
             raise ValueError(f"{k} steps: an int32 exit record holds {2**31 - 1}")
+        if self.checkpoints is not None:
+            # checkpoint_steps checks the range: a stationary run's horizon
+            # is set only when stationary_estimate replaces it
+            marks = tuple(map(float, self.checkpoints))
+            for t in marks:
+                if grid_steps(t, self.steps_per_unit) is None:
+                    raise ValueError(
+                        f"checkpoint {t!r} is off the grid of step 1/{self.steps_per_unit}: "
+                        f"t·n = {t * self.steps_per_unit!r} is not an integer"
+                    )
+            object.__setattr__(self, "checkpoints", marks)
         cut = ladder_level(self.cut_level)
         if cut < 1:
             raise ValueError("cut level must be >= 1")
@@ -296,14 +309,13 @@ class SimConfig:
         """Grid indices at which diagnostics are recorded (0 and T always)."""
         total = self.total_steps
         if self.checkpoints is None:
-            want = np.linspace(0.0, self.horizon, 51)
+            want = np.linspace(0.0, self.horizon, 51) * self.steps_per_unit
+            steps = np.rint(want).astype(int).tolist()
         else:
-            want = np.asarray(self.checkpoints, dtype=float)
-            if (want < 0).any() or (want > self.horizon + 1e-12).any():
+            steps = [grid_steps(t, self.steps_per_unit) for t in self.checkpoints]
+            if not all(0 <= k <= total for k in steps):
                 raise ValueError("checkpoints must lie in [0, horizon]")
-        idx = np.rint(want * self.steps_per_unit).astype(int)
-        idx = np.clip(idx, 0, total)
-        return tuple(sorted(set(idx.tolist()) | {0, total}))
+        return tuple(sorted(set(steps) | {0, total}))
 
 
 class InitialLaw:
@@ -633,51 +645,6 @@ def _mc_band(values: np.ndarray) -> float:
     return 3.0 * float(np.std(values, ddof=1)) / math.sqrt(values.size)
 
 
-def _series_columns(model, lyap, levels) -> list:
-    cols = ["t"] + list(model.functional_keys())
-    if lyap is not None:
-        cols += ["v_mean", "v_band", "M", "M_plus"]
-    cols += [f"exit_frac_{m:g}" for m in levels]
-    if lyap is not None:
-        cols += ["v_sup"]
-    return cols
-
-
-class _Recorder:
-    """Accumulates checkpoint rows for one cloud. Its t = 0 row sets ``ev0``,
-    the measured E v(0, x₀) that seeds the envelopes (0.0 without ``lyap``)."""
-
-    def __init__(self, model, lyap, cfg):
-        self.model = model
-        self.lyap = lyap
-        self.ev0 = 0.0
-        self.levels = cfg.tracked_levels()
-        self.columns = _series_columns(model, lyap, self.levels)
-        self.rows = []
-        self.v_sup = 0.0
-
-    def record(self, cloud: ParticleCloud, fv: dict) -> None:
-        row = [cloud.t] + [fv[k] for k in self.model.functional_keys()]
-        if self.lyap is not None:
-            v = np.asarray(self.lyap.v(cloud.t, cloud.x, fv), dtype=float)
-            v_mean = float(tree_mean(v))
-            if not self.rows:
-                self.ev0 = v_mean
-            self.v_sup = max(self.v_sup, v_mean)
-            # looked up at call time: the benchmark's tracer
-            # (bench/spans.py) wraps both in mkvlab.lyapunov after import
-            row += [
-                v_mean,
-                _mc_band(v),
-                lyapunov.envelope_M(self.lyap, self.ev0, cloud.t),
-                lyapunov.envelope_Mplus(self.lyap, self.ev0, cloud.t),
-            ]
-        row += [cloud.exit_fraction(m) for m in self.levels]
-        if self.lyap is not None:
-            row += [self.v_sup]
-        self.rows.append(row)
-
-
 def _base_meta(model, cfg) -> dict:
     return {
         "scenario": model.name,
@@ -785,22 +752,41 @@ def simulate(
     ``_on_checkpoint(t, x)`` at every checkpoint with a view of the
     positions that later steps overwrite, and copies what it keeps.
     """
-    rec = _Recorder(model, lyap, cfg)
+    keys = model.functional_keys()
+    exits = [(f"exit_frac_{m:g}", m) for m in cfg.tracked_levels()]
+    columns, rows = [], []
     meta = _base_meta(model, cfg)
+    ev0 = v_sup = 0.0  # ev0, the measured E v(0, x₀), seeds the envelopes
 
     def observe(clouds, fvs):
-        cloud = clouds[0]
-        rec.record(cloud, fvs[0])
+        nonlocal ev0, v_sup
+        cloud, fv = clouds[0], fvs[0]
+        cells = [("t", cloud.t)] + [(k, fv[k]) for k in keys]
+        if lyap is not None:
+            v = np.asarray(lyap.v(cloud.t, cloud.x, fv), dtype=float)
+            v_mean = float(tree_mean(v))
+            if not cloud.step:
+                ev0 = v_mean
+            v_sup = max(v_sup, v_mean)
+            # looked up at call time: the benchmark's tracer
+            # (bench/spans.py) wraps both in mkvlab.lyapunov after import
+            cells += [("v_mean", v_mean), ("v_band", _mc_band(v)),
+                      ("M", lyapunov.envelope_M(lyap, ev0, cloud.t)),
+                      ("M_plus", lyapunov.envelope_Mplus(lyap, ev0, cloud.t))]
+        cells += [(name, cloud.exit_fraction(m)) for name, m in exits]
+        if lyap is not None:
+            cells.append(("v_sup", v_sup))
         if not cloud.step:
-            meta["ev0"] = rec.ev0
-            for m in rec.levels:
-                meta[f"p0_out_{m:g}"] = cloud.exit_fraction(m)
+            columns.extend(name for name, _ in cells)
+            meta["ev0"] = ev0
+            meta.update((f"p0_out_{m:g}", cloud.exit_fraction(m)) for _, m in exits)
+        rows.append([value for _, value in cells])
         if _on_checkpoint is not None:
             _on_checkpoint(cloud.t, cloud.x)
 
     lone = [(init, cfg.seed, NoiseStream.PURPOSE_INIT, NoiseStream.PURPOSE_STEP)]
     _run_clouds(model, cfg, lone, observe)
-    return DiagnosticsSeries(columns=rec.columns, rows=rec.rows, meta=meta)
+    return DiagnosticsSeries(columns=columns, rows=rows, meta=meta)
 
 
 def coupled_simulate(
@@ -809,27 +795,23 @@ def coupled_simulate(
     init1: InitialLaw,
     init2: InitialLaw,
     vbar: Callable[[np.ndarray], np.ndarray],
-):
+) -> DiagnosticsSeries:
     """Evolve two clouds under shared noise; track E v̄(x¹ − x²).
 
     Both clouds see identical Brownian increments, particle by particle, and
-    each evolves under its own empirical law. Returns (series1, series2,
-    distance), where ``distance`` has columns (t, dist, band): dist is the
-    paired empirical mean of v̄ of the coordinate difference (Euclidean norm
-    of the difference when d > 1, since the shipped kernels are radial), and
-    band is its 3-sigma cross-particle Monte Carlo width.
+    each evolves under its own empirical law. Returns one series with
+    columns (t, dist, band): dist is the paired empirical mean of v̄ of the
+    coordinate difference (Euclidean norm of the difference when d > 1,
+    since the shipped kernels are radial), and band is its 3-sigma
+    cross-particle Monte Carlo width.
     """
-    recs = [_Recorder(model, None, cfg) for _ in (1, 2)]
-    metas = [{**_base_meta(model, cfg), "coupled_member": j} for j in (1, 2)]
-    dist_rows = []
+    rows = []
 
     def observe(clouds, fvs):
-        for cloud, r, fv in zip(clouds, recs, fvs):
-            r.record(cloud, fv)
         diff = clouds[0].x - clouds[1].x
         z = diff[:, 0] if model.dim == 1 else np.linalg.norm(diff, axis=1)
         values = np.asarray(vbar(z), dtype=float)
-        dist_rows.append([clouds[0].t, float(tree_mean(values)), _mc_band(values)])
+        rows.append([clouds[0].t, float(tree_mean(values)), _mc_band(values)])
 
     # the second cloud's own init purpose keeps its *initial* draw
     # independent; the equal step keys share one draw
@@ -839,14 +821,6 @@ def coupled_simulate(
         (init2, cfg.seed, NoiseStream.PURPOSE_INIT2, step),
     ]
     _run_clouds(model, cfg, clouds, observe)
-
-    series = [
-        DiagnosticsSeries(columns=r.columns, rows=r.rows, meta=m)
-        for r, m in zip(recs, metas)
-    ]
-    dist = DiagnosticsSeries(
-        columns=["t", "dist", "band"],
-        rows=dist_rows,
-        meta=_base_meta(model, cfg),
+    return DiagnosticsSeries(
+        columns=["t", "dist", "band"], rows=rows, meta=_base_meta(model, cfg)
     )
-    return series[0], series[1], dist

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mkvlab.analysis as analysis
 from mkvlab.analysis import (
@@ -452,6 +454,46 @@ def test_stationary_estimate_validation():
     # step of 1/10: the spacing is refused rather than snapped to the grid
     with pytest.raises(ValueError, match="not a whole number"):
         stationary_estimate(sc.model, cfg, horizons=(1.0, 2.0), init=PointMass(1.0))
+
+
+class _RunConfigSeen(Exception):
+    pass
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    steps_per_unit=st.integers(1, 10**4),
+    spacing_steps=st.integers(1, 10**4),
+    multiple=st.integers(1, 200),
+)
+def test_stationary_default_marks_are_grid_times(steps_per_unit, spacing_steps, multiple):
+    # the default marks are np.arange floats k·spacing up to T; each must
+    # pass SimConfig's refusal of off-grid checkpoints and name step
+    # k·spacing_steps, up to T·n = 50·spacing_steps·multiple ≈ 1e6
+    spacing_steps = min(spacing_steps, 10**6 // (50 * multiple))
+    shortest = 50 * spacing_steps / steps_per_unit
+    seen = []
+
+    def keep_the_run_config(model, lyap, cfg, init, **kw):
+        seen.append(cfg)
+        raise _RunConfigSeen
+
+    sc = builtin_scenario("example1-quartic")
+    cfg = SimConfig(
+        n_particles=1, horizon=1.0, steps_per_unit=steps_per_unit, cut_level=2, seed=0
+    )
+    original = analysis.simulate
+    analysis.simulate = keep_the_run_config
+    try:
+        with pytest.raises(_RunConfigSeen):
+            stationary_estimate(
+                sc.model, cfg, (shortest, multiple * shortest), PointMass(0.5)
+            )
+    finally:
+        analysis.simulate = original
+    total = 50 * spacing_steps * multiple
+    assert seen[0].total_steps == total
+    assert seen[0].checkpoint_steps() == tuple(range(0, total + 1, spacing_steps))
 
 
 # ---------------------------------------------------------------------------

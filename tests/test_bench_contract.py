@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import mkvlab.scenarios
-from mkvlab.cli import _resolve, build_parser
+from mkvlab.cli import _resolve, build_parser, parse_config
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -172,3 +172,72 @@ def test_setup_probe_reports_its_three_timings_for_every_workload(bench, tmp_pat
         for key in ("import_s", "scenario_s", "init_s"):
             assert report[key] >= 0.0, (name, key)
         assert Path(report["module"]).resolve().is_relative_to(src), name
+
+
+def _traced(spans, run):
+    """``run()`` under a fresh tracer, installed as the benchmark's traced
+    operations install it; returns (result, tracer)."""
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        return tracer.span(spans.ROOT, run)(), tracer
+    finally:
+        tracer.uninstall()
+
+
+def _cut_config(workloads, name, n):
+    """The workload's config text at seed 0, cut to ``n`` particles."""
+    text = workloads.config_text(name, 0)
+    line = f"sim.n_particles = {parse_config(text).n_particles}\n"
+    assert line in text
+    return text.replace(line, f"sim.n_particles = {n}\n")
+
+
+#: workload -> (particles it is cut to, the spans beyond the CLI's and the
+#: loop's that its operation reaches)
+TRACED_CLI_RUNS = {
+    "cir-large": (2000, ()),
+    "coupled-small": (1000, ("analysis.coupled",)),
+    "stationary-t2": (2000, ("analysis.occupation", "measure.wasserstein")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_CLI_RUNS))
+def test_a_traced_cli_operation_emits_the_untraced_bytes(bench, tmp_path, name):
+    # a whole operation through every span's item count: those read fixed
+    # positional arguments, so a call made another way fails here, not as a
+    # failed traced operation of the benchmark
+    spans, workloads = bench
+    from mkvlab.cli import main
+
+    n, keys = TRACED_CLI_RUNS[name]
+    text = _cut_config(workloads, name, n)
+    rc = parse_config(text)
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+
+    def run(out):
+        return main([rc.experiment, "--config", str(cfg), "--out", str(out),
+                     "--threads", str(rc.threads)])
+
+    def emitted(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    code = run(tmp_path / "plain")
+    traced_code, tracer = _traced(spans, lambda: run(tmp_path / "traced"))
+    assert traced_code == code
+    assert emitted(tmp_path / "plain")
+    assert emitted(tmp_path / "traced") == emitted(tmp_path / "plain")
+    totals = tracer.totals()
+    for key in ("cli.command", "simulate.loop") + keys:
+        assert totals.get(key, [0])[spans.CALLS] >= 1, key
+
+
+def test_a_traced_ensemble_operation_returns_the_untraced_series(bench):
+    spans, workloads = bench
+    text = _cut_config(workloads, "ito-ensemble", 1000)
+    w = workloads.EnsembleWorkload("ito-ensemble", parse_config(text))
+    plain = w.run()
+    traced, tracer = _traced(spans, w.run)
+    assert [s.rows for s in traced] == [s.rows for s in plain]
+    assert tracer.totals().get("lions.generator", [0])[spans.CALLS] >= 1

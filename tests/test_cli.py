@@ -64,7 +64,6 @@ def test_fully_populated_config_round_trips_exactly():
         init="point 1.5",
         init_b="uniform -0.5 0.5",
         stability_mode="integrated",
-        vbar_power=1.0,
         horizons=(5.0,),
         lions_functions=("mean", "moment4"),
         lions_atoms=32,
@@ -132,7 +131,6 @@ RUN_CONFIGS = st.builds(
     init=initial_laws(),
     init_b=initial_laws(),
     stability_mode=st.sampled_from(("auto", "pointwise", "integrated")),
-    vbar_power=FLOATS,
     horizons=st.lists(FLOATS, max_size=4).map(tuple),
     lions_functions=st.lists(TOKENS, max_size=4)
     .map(tuple)
@@ -267,13 +265,20 @@ def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
             "simulate",
             SIM_CFG + "sim.checkpoints = 0.013\n",
             [],
-            "sim.checkpoints: checkpoint 0.013 is off the grid",
+            "checkpoint 0.013 is off the grid",
         ),
         (
             "stationary",
             SIM_CFG + "sim.checkpoints = 0.0 1e-12\n",
             [],
-            "sim.checkpoints: checkpoint 1e-12 is off the grid",
+            "checkpoint 1e-12 is off the grid",
+        ),
+        (
+            "stability",
+            SIM_CFG.replace("example1-quartic", "linear-meanfield")
+            + "stability.vbar_power = 1.0\n",
+            [],
+            "stability.vbar_power: unknown key",
         ),
         (
             "stationary",
@@ -305,6 +310,7 @@ def test_fractional_ladder_level_exits_with_code_2(tmp_path, capsys, levels):
         "t_samples=nan",
         "off-grid-checkpoint",
         "checkpoint-near-zero",
+        "stability.vbar_power",
         "stationary-spacing-off-grid",
         "steps-beyond-int32",
     ],

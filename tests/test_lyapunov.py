@@ -192,6 +192,13 @@ def test_envelopes_saturate_at_infinity(quadrature):
     # a zero coefficient keeps its term at 0 however far the exponential grows
     assert envelope_M((grow, 0.0), 0.0, 1.0) == 0.0
     assert envelope_Mplus((decay, 0.0), 2.0, 1.0) == 2.0
+    # with m2 < 0, M = e^{∫m1}·(Ev₀ + ∫₀ᵗ e^{−∫₀ˢm1} m2 ds) (− m2/m1 for
+    # constants) has terms +inf and −inf: the bracket's sign decides
+    forcing = (lambda s: -1.0) if quadrature else -1.0
+    assert envelope_M((grow, forcing), 1.0, 1.0) == math.inf
+    if not quadrature:
+        assert envelope_M((800.0, -1600.0), 1.0, 1.0) == -math.inf
+        assert envelope_M((800.0, -800.0), 1.0, 1.0) == 1.0  # zero bracket: −m2/m1
 
 
 def test_envelopes_reject_negative_initial_values():

@@ -429,9 +429,7 @@ def test_vbar_distance_is_symmetric_for_even_kernels():
 def test_nonconvex_kernel_solves_the_exhaustive_assignment():
     # saturating kernel min(z², 1): even, ≥ 0, vanishes at 0, not convex —
     # the sorted coupling can lose, so the solver must do real assignment
-    saturate = VBarKernel(
-        fn=lambda z: np.minimum(z**2, 1.0), convex=False, label="min(z²,1)"
-    )
+    saturate = VBarKernel(fn=lambda z: np.minimum(z**2, 1.0), convex=False)
     rng = np.random.Generator(np.random.Philox(34))
     for _ in range(10):
         a = rng.normal(size=(6, 1)) * 2.0
@@ -447,13 +445,13 @@ def test_nonconvex_kernel_solves_the_exhaustive_assignment():
 
 def test_vbar_kernel_contract_is_enforced():
     a, b = cloud(0.0, 1.0), cloud(2.0, 5.0)
-    offset = VBarKernel(fn=lambda z: np.abs(z) + 1.0, convex=True, label="bad")
+    offset = VBarKernel(fn=lambda z: np.abs(z) + 1.0, convex=True)
     with pytest.raises(ValueError, match="v̄\\(0\\)"):
         semi_wasserstein_vbar(a, b, offset)
-    negative = VBarKernel(fn=lambda z: -np.abs(z), convex=True, label="bad")
+    negative = VBarKernel(fn=lambda z: -np.abs(z), convex=True)
     with pytest.raises(ValueError, match="≥ 0"):
         semi_wasserstein_vbar(a, b, negative)
-    lopsided = VBarKernel(fn=lambda z: np.maximum(z, 0.0), convex=True, label="bad")
+    lopsided = VBarKernel(fn=lambda z: np.maximum(z, 0.0), convex=True)
     with pytest.raises(ValueError, match="even"):
         semi_wasserstein_vbar(a, b, lopsided)
 

@@ -23,6 +23,7 @@ from mkvlab.model import (
 from mkvlab.scenarios import builtin_scenario, scenario_names
 from mkvlab.simulate import (
     BlowUpError,
+    DiagnosticsSeries,
     NoiseStream,
     ParticleCloud,
     PointMass,
@@ -114,8 +115,21 @@ def test_config_grid_arithmetic():
 
 
 def test_checkpoint_steps_snap_to_the_grid():
-    cfg = small_cfg(horizon=1.0, steps_per_unit=10, checkpoints=(0.0, 0.55, 1.0))
-    assert cfg.checkpoint_steps() == (0, 6, 10)
+    # a given checkpoint is a grid time by the horizon's rule: t·n within
+    # 1e-9 relative of an integer, t = 0 exactly. 0.55·10 = 5.5 steps,
+    # 0.013·50 = 0.65, and 1e-12·50 is not 0
+    with pytest.raises(ValueError, match="checkpoint 0.55 is off the grid of step 1/10"):
+        small_cfg(horizon=1.0, steps_per_unit=10, checkpoints=(0.0, 0.55, 1.0))
+    for marks in ((0.013,), (0.0, 1e-12), np.array([0.02, 0.0125])):
+        with pytest.raises(ValueError, match="off the grid of step 1/50"):
+            SimConfig(
+                n_particles=1, horizon=0.1, steps_per_unit=50, cut_level=4, seed=0,
+                checkpoints=marks,
+            )
+    # any sequence of grid times; rounding in t·n is not an offset
+    cfg = small_cfg(horizon=0.1, steps_per_unit=30, checkpoints=np.array([0.1, 1 / 30]))
+    assert cfg.checkpoints == (0.1, 1 / 30)
+    assert cfg.checkpoint_steps() == (0, 1, 3)
     # endpoints are always present
     cfg2 = small_cfg(horizon=1.0, steps_per_unit=10, checkpoints=(0.5,))
     assert cfg2.checkpoint_steps() == (0, 5, 10)
@@ -644,9 +658,11 @@ def test_coupled_identical_inits_never_separate():
     cfg = SimConfig(
         n_particles=100, horizon=0.5, steps_per_unit=20, cut_level=16.0, seed=2
     )
-    _, _, dist = coupled_simulate(
+    dist = coupled_simulate(
         sc.model, cfg, PointMass(1.0), PointMass(1.0), vbar=lambda z: z**2
     )
+    assert isinstance(dist, DiagnosticsSeries)
+    assert dist.columns == ["t", "dist", "band"]
     assert all(row[1] == 0.0 for row in dist.rows)
 
 
@@ -657,7 +673,7 @@ def test_coupled_additive_noise_cancels_pathwise():
     cfg = SimConfig(
         n_particles=64, horizon=1.0, steps_per_unit=25, cut_level=64.0, seed=4
     )
-    _, _, dist = coupled_simulate(
+    dist = coupled_simulate(
         sc.model, cfg, PointMass(0.0), PointMass(1.0), vbar=lambda z: z**2
     )
     for row in dist.rows:
@@ -667,17 +683,31 @@ def test_coupled_additive_noise_cancels_pathwise():
 
 
 @pytest.mark.parametrize("name", ["example1-quartic", "linear-meanfield", "example3-cir"])
-def test_first_coupled_cloud_is_the_single_cloud_run(name):
+def test_first_coupled_cloud_is_the_single_cloud_run(name, monkeypatch):
     # both drivers run one loop: the first cloud of a pair draws its initial
     # law and every increment exactly as a lone cloud does, and the loop's
     # shared draw is the one euler_step makes for itself
+    engine = sys.modules["mkvlab.simulate"]
+    run_clouds, first = engine._run_clouds, []
+
+    def keeping_the_first_cloud(model, cfg, clouds, observe, hook=None):
+        def watched(views, fvs):
+            first.append((views[0].t, views[0].x.copy()))
+            observe(views, fvs)
+
+        run_clouds(model, cfg, clouds, watched, hook)
+
     sc = builtin_scenario(name)
     cfg = small_cfg(n_particles=500)
-    first, _, _ = coupled_simulate(
-        sc.model, cfg, sc.default_init, PointMass(1.0), vbar=lambda z: z**2
-    )
-    alone, snapshots = run_keeping_snapshots(sc.model, None, cfg, sc.default_init)
-    assert first.rows == alone.rows
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_run_clouds", keeping_the_first_cloud)
+        coupled_simulate(
+            sc.model, cfg, sc.default_init, PointMass(1.0), vbar=lambda z: z**2
+        )
+    _, snapshots = run_keeping_snapshots(sc.model, None, cfg, sc.default_init)
+    assert len(first) == len(snapshots) == len(cfg.checkpoint_steps())
+    for (t, x), (t_alone, x_alone) in zip(first, snapshots):
+        assert t == t_alone and np.array_equal(x, x_alone)
     noise = NoiseStream(cfg.seed)
     x0 = sc.default_init.sample(cfg.n_particles, sc.model.dim, noise)
     cloud = ParticleCloud.create(x0, sc.model, cfg.tracked_levels())
