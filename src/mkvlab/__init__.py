@@ -13,7 +13,6 @@ model/Lyapunov bundles; ``cli`` drives everything from flat-text configs.
 from .analysis import (
     OccupationMeasure,
     StabilityReport,
-    moment_ode_oracle,
     scheutzow_probe,
     stability_experiment,
     stationary_estimate,
@@ -42,7 +41,6 @@ from .lyapunov import (
     envelope_Mplus,
     exit_probability_bound,
     generator_values,
-    integrated_generator,
 )
 from .measure import (
     EmpiricalMeasure,
@@ -115,14 +113,12 @@ __all__ = [
     "exit_probability_bound",
     "expected_shortfall",
     "generator_values",
-    "integrated_generator",
     "ito_residual_full",
     "ito_residual_measure",
     "lift_gradient",
     "mean_square_function",
     "moment",
     "moment_function",
-    "moment_ode_oracle",
     "quantile",
     "registry_function",
     "scenario_names",

@@ -18,8 +18,7 @@ checkpoint. Agreement is evidence, not proof; a violation is a finding.
 candidate invariant measures: the occupation measure pools cloud snapshots
 uniformly over (0, T], and for a model whose envelope stays bounded
 (m1 ≤ 0) the occupation measures should become Cauchy in W₁ as the horizon
-doubles. The logistic fourth-moment oracle provides the ground-truth
-stationary value 3/4 for the quartic scenario.
+doubles.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "stability_experiment",
     "scheutzow_probe",
     "stationary_estimate",
-    "moment_ode_oracle",
 ]
 
 POOL_CAP = 10**6
@@ -361,21 +359,3 @@ def stationary_estimate(
     diag = DiagnosticsSeries(columns=columns, rows=rows, meta=meta)
     return occupations, diag
 
-
-def moment_ode_oracle(scenario, m0: float, t):
-    """Closed-form fourth moment for the quartic scenario.
-
-    The generator identity closes the fourth moment into the logistic ODE
-    ṁ = 3m − 4m², solved by m(t) = 3m₀ / (4m₀ + (3 − 4m₀)e^{−3t}); the
-    stationary value is 3/4. Ground truth for simulation and stationarity
-    tests. Accepts the scenario name or object; only the quartic scenario
-    has a closed moment flow.
-    """
-    name = getattr(getattr(scenario, "model", scenario), "name", scenario)
-    if name != "example1-quartic":
-        raise ValueError(f"no closed moment flow for scenario {name!r}")
-    if m0 < 0:
-        raise ValueError("fourth moment m0 must be nonnegative")
-    t = np.asarray(t, dtype=float)
-    out = 3.0 * m0 / (4.0 * m0 + (3.0 - 4.0 * m0) * np.exp(-3.0 * t))
-    return float(out) if out.ndim == 0 else out

@@ -2,8 +2,8 @@
 
 Configs are flat text, one ``key = value`` per line with dotted section
 prefixes (``scenario.alpha = -0.5``), ``#`` comments allowed. Flat text was
-chosen over nested formats so configs diff line-by-line and round-trip
-exactly: ``parse → serialize → parse`` yields an equal config.
+chosen over nested formats so configs diff line-by-line. A config that
+states ``experiment`` must state the subcommand it is run with.
 
 Only this module writes files: the library returns values, and each CSV
 and summary cell is text as is, an integer (numpy and ``bool`` included)
@@ -86,12 +86,11 @@ class ConfigError(ValueError):
 class RunConfig:
     """One experiment, fully specified.
 
-    Initial laws are kept in their canonical text form (``point 1.0``,
-    ``uniform -0.5 0.5`` or ``default`` for the scenario's own choice), so
-    equality of two RunConfigs is plain field equality.
+    Initial laws are kept as their text (``point 1.0``, ``uniform -0.5 0.5``
+    or ``default`` for the scenario's own choice), checked when parsed.
     """
 
-    experiment: str = "simulate"
+    experiment: str | None = None  # None: the config does not state one
     out: str = "runs"
     tolerance: float = 0.0
     scenario_name: str = "example1-quartic"
@@ -157,16 +156,10 @@ def _parse_init(text: str) -> InitialLaw | None:
     )
 
 
-def _init_text(text: str) -> str:
-    """Canonical form of an initial-law string (floats repr'd)."""
-    law = _parse_init(text)
-    if law is None:
-        return "default"
-    if isinstance(law, PointMass):
-        return "point " + " ".join(repr(c) for c in law.point)
-    return "uniform " + " ".join(
-        repr(c) for c in (*law.lower, *law.upper)
-    )
+def _init(text: str) -> str:
+    """An initial-law string, rejected here if it does not parse."""
+    _parse_init(text)
+    return text
 
 
 def _int(val: str) -> int:
@@ -200,23 +193,10 @@ def _levels(val: str) -> tuple:
     return tuple(_level(tok) for tok in val.split())
 
 
-def _level_text(val) -> str:
-    return str(ladder_level(val))
-
-
 def _strs(val: str) -> tuple:
     if val == "none":
         return ()
     return tuple(val.split())
-
-
-def _tuple_text(show):
-    """Serializer for tuple-valued keys; empty tuples read back via 'none'."""
-
-    def fmt(vals):
-        return " ".join(show(v) for v in vals) if vals else "none"
-
-    return fmt
 
 
 def _checkpoints(val: str) -> tuple | None:
@@ -229,37 +209,33 @@ def _experiment(val: str) -> str:
     return val
 
 
-#: key → (RunConfig attribute, parser, serializer). Scenario parameters are
-#: handled separately since their key set is open.
+#: key → (RunConfig attribute, parser). Scenario parameters are handled
+#: separately since their key set is open.
 _KEYS = {
-    "experiment": ("experiment", _experiment, str),
-    "out": ("out", str, str),
-    "tolerance": ("tolerance", _float, repr),
-    "scenario.name": ("scenario_name", str, str),
-    "sim.n_particles": ("n_particles", _int, str),
-    "sim.horizon": ("horizon", _float, repr),
-    "sim.steps_per_unit": ("steps_per_unit", _int, str),
-    "sim.cut_level": ("cut_level", _level, _level_text),
-    "sim.seed": ("seed", _int, str),
-    "sim.exit_levels": ("exit_levels", _levels, _tuple_text(_level_text)),
-    "sim.threads": ("threads", _int, str),
-    "sim.stream": ("stream", _int, str),
-    "sim.checkpoints": (
-        "checkpoints",
-        _checkpoints,
-        lambda v: "auto" if v is None else _tuple_text(repr)(v),
-    ),
-    "init": ("init", _init_text, str),
-    "stability.init_b": ("init_b", _init_text, str),
-    "stability.mode": ("stability_mode", str, str),
-    "stationary.horizons": ("horizons", _floats, _tuple_text(repr)),
-    "lions.functions": ("lions_functions", _strs, _tuple_text(str)),
-    "lions.atoms": ("lions_atoms", _int, str),
-    "lyapunov.probes": ("probes", _int, str),
-    "lyapunov.probe_atoms": ("probe_atoms", _int, str),
-    "lyapunov.probe_scale": ("probe_scale", _float, repr),
-    "lyapunov.t_samples": ("t_samples", _floats, _tuple_text(repr)),
-    "wasserstein.p": ("wasserstein_p", _float, repr),
+    "experiment": ("experiment", _experiment),
+    "out": ("out", str),
+    "tolerance": ("tolerance", _float),
+    "scenario.name": ("scenario_name", str),
+    "sim.n_particles": ("n_particles", _int),
+    "sim.horizon": ("horizon", _float),
+    "sim.steps_per_unit": ("steps_per_unit", _int),
+    "sim.cut_level": ("cut_level", _level),
+    "sim.seed": ("seed", _int),
+    "sim.exit_levels": ("exit_levels", _levels),
+    "sim.threads": ("threads", _int),
+    "sim.stream": ("stream", _int),
+    "sim.checkpoints": ("checkpoints", _checkpoints),
+    "init": ("init", _init),
+    "stability.init_b": ("init_b", _init),
+    "stability.mode": ("stability_mode", str),
+    "stationary.horizons": ("horizons", _floats),
+    "lions.functions": ("lions_functions", _strs),
+    "lions.atoms": ("lions_atoms", _int),
+    "lyapunov.probes": ("probes", _int),
+    "lyapunov.probe_atoms": ("probe_atoms", _int),
+    "lyapunov.probe_scale": ("probe_scale", _float),
+    "lyapunov.t_samples": ("t_samples", _floats),
+    "wasserstein.p": ("wasserstein_p", _float),
 }
 
 
@@ -285,7 +261,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("key given twice", lineno, key)
         seen.add(key)
         if key in _KEYS:
-            attr, parse, _ = _KEYS[key]
+            attr, parse = _KEYS[key]
             try:
                 setattr(rc, attr, parse(val))
             except ValueError as exc:
@@ -304,17 +280,6 @@ def parse_config(text: str) -> RunConfig:
             key="stability.mode",
         )
     return rc
-
-
-def serialize_config(rc: RunConfig) -> str:
-    """Emit a config that parses back equal to ``rc``, one key per line."""
-    lines = []
-    for key, (attr, _, show) in _KEYS.items():
-        lines.append(f"{key} = {show(getattr(rc, attr))}")
-        if key == "scenario.name":
-            for name in sorted(rc.scenario_params):
-                lines.append(f"scenario.{name} = {rc.scenario_params[name]!r}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -547,21 +512,20 @@ def cmd_lyapunov_check(rc: RunConfig) -> int:
 
 
 def _load_samples(path: str) -> np.ndarray:
-    """One numeric column per line; commas and a single header line tolerated."""
-    attempts = (
-        {},
-        {"delimiter": ","},
-        {"skiprows": 1},
-        {"delimiter": ",", "skiprows": 1},
-    )
+    """One numeric column per line; commas tolerated, and a first line that
+    does not parse is a header. Every sample must be finite."""
     last = None
-    for kwargs in attempts:
-        try:
-            arr = np.loadtxt(path, ndmin=2, **kwargs)
-        except (ValueError, OSError) as exc:
-            last = exc
-            continue
-        if arr.size and np.isfinite(arr).all():
+    for skiprows in (0, 1):
+        for kwargs in ({}, {"delimiter": ","}):
+            try:
+                arr = np.loadtxt(path, ndmin=2, skiprows=skiprows, **kwargs)
+            except (ValueError, OSError) as exc:
+                last = exc
+                continue
+            if not arr.size:
+                raise ConfigError(f"no samples in {path}")
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"non-finite sample in {path}")
             return arr
     raise ConfigError(f"cannot read samples from {path}: {last}")
 
@@ -627,6 +591,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         rc = parse_config(text)
     else:
         rc = RunConfig()
+    if rc.experiment not in (None, args.command):
+        raise ConfigError(
+            f"the config states {rc.experiment!r}, run as {args.command!r}",
+            key="experiment",
+        )
     rc.experiment = args.command
     if args.seed is not None:
         rc.seed = args.seed

@@ -224,27 +224,24 @@ def registry_function(uid: str) -> MeasureFunction:
 # ---------------------------------------------------------------------------
 
 
-def _fd_step(xi: np.ndarray, h: float | None) -> float:
-    if h is None:
-        return FD_STEP_SCALE * (1.0 + float(np.linalg.norm(xi)))
-    if not h > 0:
-        raise ValueError("finite-difference step h must be positive")
-    return float(h)
+def _fd_step(xi: np.ndarray) -> float:
+    return FD_STEP_SCALE * (1.0 + float(np.linalg.norm(xi)))
 
 
-def lift_gradient(u, mu, i: int, h: float | None = None) -> np.ndarray:
+def lift_gradient(u, mu, i: int) -> np.ndarray:
     """Measure derivative of u at atom i of the empirical measure.
 
     Central difference of the lifted function across the single perturbed
-    atom, scaled by N. For registry functions this equals the analytic
-    derivative up to the h² truncation error bounded by ``u.fd_scale``.
+    atom, scaled by N, with step h = FD_STEP_SCALE·(1 + |x_i|). For registry
+    functions this equals the analytic derivative up to the h² truncation
+    error bounded by ``u.fd_scale``.
     """
     x = _atoms(mu).copy()
     n, d = x.shape
     if not 0 <= i < n:
         raise IndexError(f"particle index {i} out of range for cloud of {n}")
     xi = x[i].copy()
-    step = _fd_step(xi, h)
+    step = _fd_step(xi)
     grad = np.empty(d)
     for a in range(d):
         x[i, a] = xi[a] + step
@@ -260,7 +257,7 @@ def lift_gradient(u, mu, i: int, h: float | None = None) -> np.ndarray:
     return grad
 
 
-def check_structure(u, mu, h: float | None = None) -> CheckReport:
+def check_structure(u, mu) -> CheckReport:
     """Verify the lifted gradient depends on an atom's value, not its index.
 
     Every pair of exactly duplicated atoms must receive gradients that agree
@@ -288,9 +285,9 @@ def check_structure(u, mu, h: float | None = None) -> CheckReport:
         title += " (injected duplicate)"
     rows = []
     for i, j in pairs:
-        gi = lift_gradient(u, x, i, h)
-        gj = lift_gradient(u, x, j, h)
-        step = _fd_step(x[i], h)
+        gi = lift_gradient(u, x, i)
+        gj = lift_gradient(u, x, j)
+        step = _fd_step(x[i])
         scale = 1.0 + max(float(np.max(np.abs(gi))), float(np.max(np.abs(gj))))
         if getattr(u, "fd_scale", None) is not None:
             scale += float(u.fd_scale(x))

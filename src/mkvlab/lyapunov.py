@@ -40,11 +40,9 @@ __all__ = [
     "CheckRow",
     "CheckReport",
     "generator_values",
-    "integrated_generator",
     "check_lyapunov_condition",
     "check_floor",
     "check_local_bound",
-    "fit_growth_constant",
     "envelope_M",
     "envelope_Mplus",
     "exit_probability_bound",
@@ -52,9 +50,6 @@ __all__ = [
 
 #: Quadrature step for envelope integrals when no closed form applies.
 DEFAULT_QUAD_STEP = 2.5e-4
-
-#: Cloud-size cap for the O(N²) reference generator.
-REFERENCE_CAP = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -227,41 +222,6 @@ def generator_values(
     return out
 
 
-def integrated_generator(model, lyap, t, mu, fv: dict | None = None) -> float:
-    """∫ L^μ v dμ̂ over the cloud, from the full pairwise kernel.
-
-    Materializes ∂_μ v(x_i)(y_j) and reduces it directly (O(N²), capped at
-    N=2000): an independent check of the separable collapse that
-    ``generator_values`` makes in O(N).
-    """
-    mu = _as_cloud(mu)
-    if fv is None:
-        fv = evaluate_functionals(model.functionals, mu)
-    n = mu.shape[0]
-    if n > REFERENCE_CAP:
-        raise ValueError(f"reference path capped at N={REFERENCE_CAP}, got {n}")
-
-    b, s = evaluate_coefficients(model, t, mu, fv)
-    local = (
-        np.asarray(lyap.dv_dt(t, mu, fv), dtype=float)
-        + np.einsum("nd,nd->n", b, np.asarray(lyap.dv_dx(t, mu, fv), dtype=float))
-        + 0.5 * _trace_quadratic(s, np.asarray(lyap.d2v_dx2(t, mu, fv), dtype=float))
-    )
-    total = float(np.mean(local))
-    for fac in lyap.measure_factors:
-        xp = np.asarray(fac.x_part(t, mu, fv), dtype=float)  # (N,)
-        grad = np.asarray(fac.y_grad(t, mu, fv), dtype=float)  # (N,d)
-        # pairwise b(y_j)·∂_μ v(x_i)(y_j), shape (N, N)
-        pair = xp[:, None] * np.einsum("md,md->m", b, grad)[None, :]
-        if fac.y_hess is not None:
-            hess_term = _trace_quadratic(
-                s, np.asarray(fac.y_hess(t, mu, fv), dtype=float)
-            )
-            pair = pair + 0.5 * xp[:, None] * hess_term[None, :]
-        total += float(np.mean(pair))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # condition checks and reports
 # ---------------------------------------------------------------------------
@@ -292,37 +252,14 @@ class CheckReport:
     def passed(self) -> bool:
         return all(r.margin >= -self.tolerance for r in self.rows)
 
-    def violations(self) -> list:
-        return [r for r in self.rows if r.margin < -self.tolerance]
-
-    def summary(self) -> str:
-        lines = [f"{self.title}: {len(self.rows)} probes"]
-        w = self.worst()
-        if w is not None:
-            lines.append(
-                f"  worst margin {w.margin:.6g} at {w.probe} "
-                f"(lhs={w.lhs:.6g}, rhs={w.rhs:.6g})"
-            )
-        bad = self.violations()
-        lines.append(
-            "  PASS" if not bad else f"  FAIL: {len(bad)} margin(s) below "
-            f"-{self.tolerance:g}"
-        )
-        return "\n".join(lines)
-
-
 def _sweep(model, t_samples, probes):
-    """(label, cloud, fv, t) per probe and time sample, labelled
-    ``<name>@t=<t>``; a probe is a cloud, named ``cloud<j>`` after its
-    position, or a (name, cloud) pair."""
+    """(label, cloud, fv, t) per probe cloud and time sample, labelled
+    ``cloud<j>@t=<t>`` after the cloud's position."""
     for j, p in enumerate(probes):
-        if isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], str):
-            name, cloud = p[0], _as_cloud(p[1])
-        else:
-            name, cloud = f"cloud{j:02d}", _as_cloud(p)
+        cloud = _as_cloud(p)
         fv = evaluate_functionals(model.functionals, cloud)
         for t in np.atleast_1d(np.asarray(t_samples, dtype=float)).tolist():
-            yield f"{name}@t={t:g}", cloud, fv, t
+            yield f"cloud{j:02d}@t={t:g}", cloud, fv, t
 
 
 def check_lyapunov_condition(
@@ -392,37 +329,9 @@ def check_local_bound(
     return CheckReport(f"local coefficient bound [{model.name}]", rows, tolerance)
 
 
-def fit_growth_constant(model, lyap, t_samples, probes):
-    """Fit the smallest c with ∫(|b| + |σ|²) dμ̂ ≤ c(1 + ∫v dμ̂) over probes.
-
-    No reference value exists per scenario, so the constant is fitted as the
-    max ratio and reported alongside a (then trivially passing) report; the
-    check is that the ratio stays bounded across probes, i.e. the inequality
-    has the right shape.
-    """
-    pairs = []
-    for label, cloud, fv, t in _sweep(model, t_samples, probes):
-        b, s = evaluate_coefficients(model, t, cloud, fv)
-        lhs = float(tree_mean(np.linalg.norm(b, axis=1) + (s**2).sum(axis=(1, 2))))
-        pairs.append((label, lhs, 1.0 + lyap.mean_v(t, cloud, fv)))
-    c = max((lhs / denom for _, lhs, denom in pairs), default=0.0)
-    rows = [CheckRow(p, lhs, c * denom) for p, lhs, denom in pairs]
-    report = CheckReport(
-        f"integrated growth (fitted c={c:.6g}) [{model.name}]", rows, 1e-12
-    )
-    return c, report
-
-
 # ---------------------------------------------------------------------------
 # envelopes
 # ---------------------------------------------------------------------------
-
-
-def _rates_of(lyap) -> tuple[Rate, Rate]:
-    if isinstance(lyap, LyapunovSpec):
-        return lyap.m1, lyap.m2
-    m1, m2 = lyap
-    return Rate.of(m1), Rate.of(m2)
 
 
 def _exp(x: float) -> float:
@@ -461,7 +370,7 @@ def _weighted_quadrature(log_weight: np.ndarray, rate: Rate, ts: np.ndarray) -> 
         return float(np.trapezoid(integrand, ts))
 
 
-def envelope_M(lyap, ev0: float, t: float) -> float:
+def envelope_M(lyap: LyapunovSpec, ev0: float, t: float) -> float:
     """M(t) = Ev₀/γ(t) + ∫₀ᵗ (γ(s)/γ(t)) m2(s) ds.
 
     Closed form when both rates are constant (all built-ins); otherwise
@@ -473,7 +382,7 @@ def envelope_M(lyap, ev0: float, t: float) -> float:
     """
     if ev0 < 0:
         raise ValueError("initial expected Lyapunov value must be >= 0")
-    m1, m2 = _rates_of(lyap)
+    m1, m2 = lyap.m1, lyap.m2
     if t == 0.0:
         return float(ev0)
     if m1.kind == m2.kind == "constant":
@@ -492,12 +401,12 @@ def envelope_M(lyap, ev0: float, t: float) -> float:
     return out
 
 
-def envelope_Mplus(lyap, ev0: float, t: float) -> float:
+def envelope_Mplus(lyap: LyapunovSpec, ev0: float, t: float) -> float:
     """M⁺(t) = exp(∫₀ᵗ m1⁺) · (Ev₀ + ∫₀ᵗ γ(s) m2⁺(s) ds) ≥ M(t), saturating
     at +inf as ``envelope_M`` does."""
     if ev0 < 0:
         raise ValueError("initial expected Lyapunov value must be >= 0")
-    m1, m2 = _rates_of(lyap)
+    m1, m2 = lyap.m1, lyap.m2
     if t == 0.0:
         return float(ev0)
     lead = _exp(m1.pos().integral(0.0, t))
@@ -511,7 +420,7 @@ def envelope_Mplus(lyap, ev0: float, t: float) -> float:
 
 
 def exit_probability_bound(
-    lyap,
+    lyap: LyapunovSpec,
     ev0: float,
     t: float,
     m: int,
@@ -530,8 +439,6 @@ def exit_probability_bound(
 
     ``p0_out`` is the initial mass outside D_m, P(x₀ ∉ D_m).
     """
-    if not isinstance(lyap, LyapunovSpec):
-        raise TypeError("exit_probability_bound needs a full LyapunovSpec")
     if not (0.0 <= p0_out <= 1.0):
         raise ValueError(f"initial outside-mass must be a probability, got {p0_out}")
     v_m = float(lyap.boundary_infimum(m))

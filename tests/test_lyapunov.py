@@ -17,10 +17,9 @@ from mkvlab.lyapunov import (
     envelope_M,
     envelope_Mplus,
     exit_probability_bound,
-    fit_growth_constant,
     generator_values,
-    integrated_generator,
 )
+from oracles import integrated_generator
 from mkvlab.parallel import tree_mean
 from mkvlab.scenarios import builtin_scenario
 
@@ -134,8 +133,13 @@ def test_reference_reduction_is_capped():
 # ---------------------------------------------------------------------------
 
 
+def with_rates(m1, m2):
+    """A Lyapunov package whose rates are m1, m2 (constants or functions of t)."""
+    return dataclasses.replace(quartic_lyap(), m1=Rate.of(m1), m2=Rate.of(m2))
+
+
 def test_envelopes_in_closed_form():
-    rates = (Rate.constant(-1.0), Rate.constant(4.0))
+    rates = with_rates(Rate.constant(-1.0), Rate.constant(4.0))
     for t in (0.0, 0.5, 2.0):
         m = envelope_M(rates, 1.0, t)
         m_plus = envelope_Mplus(rates, 1.0, t)
@@ -145,8 +149,8 @@ def test_envelopes_in_closed_form():
 
 
 def test_quadrature_path_matches_the_closed_form():
-    exact = (Rate.constant(-1.0), Rate.constant(4.0))
-    numeric = (Rate.of(lambda t: -1.0), Rate.of(lambda t: 4.0))
+    exact = with_rates(Rate.constant(-1.0), Rate.constant(4.0))
+    numeric = with_rates(lambda t: -1.0, lambda t: 4.0)
     for t in (0.7, 2.0):
         assert envelope_M(numeric, 1.0, t) == pytest.approx(
             envelope_M(exact, 1.0, t), rel=1e-6
@@ -159,7 +163,7 @@ def test_quadrature_path_matches_the_closed_form():
 def test_envelope_with_affine_decay_rate():
     # m1(s) = −1 + s/2 exercises the cumulative-quadrature branch
     ev0, t = 1.0, 2.0
-    rates = (Rate.of(lambda s: -1.0 + 0.5 * s), Rate.constant(1.0))
+    rates = with_rates(lambda s: -1.0 + 0.5 * s, Rate.constant(1.0))
 
     def m1_int(s):
         return -s + 0.25 * s * s
@@ -170,7 +174,7 @@ def test_envelope_with_affine_decay_rate():
 
 
 def test_zero_rates_freeze_the_envelopes():
-    rates = (Rate.constant(0.0), Rate.constant(0.0))
+    rates = with_rates(Rate.constant(0.0), Rate.constant(0.0))
     for t in (0.0, 1.0, 10.0):
         assert envelope_M(rates, 2.5, t) == 2.5
         assert envelope_Mplus(rates, 2.5, t) == 2.5
@@ -178,7 +182,7 @@ def test_zero_rates_freeze_the_envelopes():
 
 def test_envelope_Mplus_reads_a_clipped_constant_rate_as_clipped():
     # m1⁺ = max(−1, 0) = 0, so M⁺(2) = ev0 + 2·m2 = 3, not e²·ev0 + ...
-    rates = (Rate.constant(-1.0).pos(), Rate.constant(1.0))
+    rates = with_rates(Rate.constant(-1.0).pos(), Rate.constant(1.0))
     assert envelope_Mplus(rates, 1.0, 2.0) == 3.0
 
 
@@ -186,23 +190,23 @@ def test_envelope_Mplus_reads_a_clipped_constant_rate_as_clipped():
 def test_envelopes_saturate_at_infinity(quadrature):
     # ∫₀¹ ±800 ds puts e^{±∫m1} past the float range (about e^709.8)
     grow, decay = (lambda s: 800.0, lambda s: -800.0) if quadrature else (800.0, -800.0)
-    assert envelope_M((grow, 1.0), 1.0, 1.0) == math.inf
-    assert envelope_Mplus((grow, 1.0), 1.0, 1.0) == math.inf
-    assert envelope_Mplus((decay, 1.0), 1.0, 1.0) == math.inf  # γ grows
+    assert envelope_M(with_rates(grow, 1.0), 1.0, 1.0) == math.inf
+    assert envelope_Mplus(with_rates(grow, 1.0), 1.0, 1.0) == math.inf
+    assert envelope_Mplus(with_rates(decay, 1.0), 1.0, 1.0) == math.inf  # γ grows
     # a zero coefficient keeps its term at 0 however far the exponential grows
-    assert envelope_M((grow, 0.0), 0.0, 1.0) == 0.0
-    assert envelope_Mplus((decay, 0.0), 2.0, 1.0) == 2.0
+    assert envelope_M(with_rates(grow, 0.0), 0.0, 1.0) == 0.0
+    assert envelope_Mplus(with_rates(decay, 0.0), 2.0, 1.0) == 2.0
     # with m2 < 0, M = e^{∫m1}·(Ev₀ + ∫₀ᵗ e^{−∫₀ˢm1} m2 ds) (− m2/m1 for
     # constants) has terms +inf and −inf: the bracket's sign decides
     forcing = (lambda s: -1.0) if quadrature else -1.0
-    assert envelope_M((grow, forcing), 1.0, 1.0) == math.inf
+    assert envelope_M(with_rates(grow, forcing), 1.0, 1.0) == math.inf
     if not quadrature:
-        assert envelope_M((800.0, -1600.0), 1.0, 1.0) == -math.inf
-        assert envelope_M((800.0, -800.0), 1.0, 1.0) == 1.0  # zero bracket: −m2/m1
+        assert envelope_M(with_rates(800.0, -1600.0), 1.0, 1.0) == -math.inf
+        assert envelope_M(with_rates(800.0, -800.0), 1.0, 1.0) == 1.0  # zero bracket: −m2/m1
 
 
 def test_envelopes_reject_negative_initial_values():
-    rates = (Rate.constant(-1.0), Rate.constant(4.0))
+    rates = with_rates(Rate.constant(-1.0), Rate.constant(4.0))
     with pytest.raises(ValueError):
         envelope_M(rates, -0.1, 1.0)
     with pytest.raises(ValueError):
@@ -237,7 +241,8 @@ def test_sublevel_bound_needs_the_pointwise_mode():
     sub = exit_probability_bound(pointwise, 1.0, 1.0, 3, kind="sublevel")
     assert sub >= cut  # M⁺ dominates M
     marginal = exit_probability_bound(pointwise, 1.0, 1.0, 3, p0_out=0.2, kind="marginal")
-    assert marginal == pytest.approx(cut - 0.0, rel=1e-12) or marginal <= cut + 0.2
+    # cut has p0_out = 0, and the marginal bound has no p0 term
+    assert marginal == pytest.approx(cut, rel=1e-12)
 
 
 def test_exit_bound_argument_validation():
@@ -246,8 +251,6 @@ def test_exit_bound_argument_validation():
         exit_probability_bound(lyap, 1.0, 1.0, 3, p0_out=1.5)
     with pytest.raises(ValueError, match="kind"):
         exit_probability_bound(lyap, 1.0, 1.0, 3, kind="sideways")
-    with pytest.raises(TypeError):
-        exit_probability_bound((Rate.constant(0.0), Rate.constant(0.0)), 1.0, 1.0, 3)
 
 
 def test_degenerate_floor_makes_the_bound_vacuous():
@@ -277,7 +280,7 @@ def test_centered_drift_inequality_holds_on_random_clouds():
     report = check_lyapunov_condition(
         sc.model, sc.lyap, (0.0, 0.5, 1.0), probe_clouds(50, seed=8)
     )
-    assert report.passed(), report.summary()
+    assert report.passed(), report.worst()
 
 
 def test_pointwise_check_reports_the_worst_particle(zero_model, quartic_lyap_zero_rates):
@@ -295,33 +298,26 @@ def test_saturated_scenario_passes_pointwise():
     report = check_lyapunov_condition(
         sc.model, sc.lyap, (0.0, 1.0), probe_clouds(25, scale=3.0, seed=13)
     )
-    assert report.passed(), report.summary()
+    assert report.passed(), report.worst()
 
 
 def test_probe_labels_are_preserved(contraction_model, quartic_lyap_zero_rates):
-    sc = builtin_scenario("example1-quartic")
-    report = check_lyapunov_condition(
-        sc.model, sc.lyap, (0.0,), [("mycloud", np.ones((4, 1)))]
-    )
-    assert report.rows[0].probe.startswith("mycloud@")
-    # every check labels alike: probes outermost, time samples inside, an
-    # unnamed probe called after its position; the pointwise check names
-    # its worst particle (L v = −4x⁴ against the bound 0: the one nearest 0)
+    # every check labels alike: probes outermost, time samples inside, a
+    # probe called after its position; the pointwise check names its worst
+    # particle (L v = −4x⁴ against the bound 0: the one nearest 0)
     model, lyap = contraction_model, quartic_lyap_zero_rates
-    probes = [np.array([[1.0], [-3.0], [0.1]]), ("named", np.array([2.0, 0.5, 1.0]))]
+    probes = [np.array([[1.0], [-3.0], [0.1]]), np.array([2.0, 0.5, 1.0])]
     ts = (0.0, 0.5)
-    sweep = ["cloud00@t=0", "cloud00@t=0.5", "named@t=0", "named@t=0.5"]
+    sweep = ["cloud00@t=0", "cloud00@t=0.5", "cloud01@t=0", "cloud01@t=0.5"]
     drift = check_lyapunov_condition(model, lyap, ts, probes)
     assert [r.probe for r in drift.rows] == [
-        "cloud00@t=0#p2", "cloud00@t=0.5#p2", "named@t=0#p1", "named@t=0.5#p1",
+        "cloud00@t=0#p2", "cloud00@t=0.5#p2", "cloud01@t=0#p1", "cloud01@t=0.5#p1",
     ]
     assert [r.probe for r in check_floor(model, lyap, ts, probes).rows] == sweep
     local = check_local_bound(model, lyap, ts, probes, levels=(1, 3))
     assert [r.probe for r in local.rows] == [
         f"{label}/k={k}" for label in sweep for k in (1, 3)
     ]
-    _, growth = fit_growth_constant(model, lyap, ts, probes)
-    assert [r.probe for r in growth.rows] == sweep
 
 
 def test_floor_check_passes_and_fails_honestly():
@@ -333,8 +329,7 @@ def test_floor_check_passes_and_fails_honestly():
     )
     bad = check_floor(sc.model, inflated, (0.0,), probe_clouds(5, seed=5))
     assert not bad.passed()
-    assert bad.violations()
-    assert "FAIL" in bad.summary()
+    assert bad.worst().margin < -bad.tolerance
 
 
 def test_local_bound_check_on_builtin_scenarios():
@@ -342,7 +337,7 @@ def test_local_bound_check_on_builtin_scenarios():
     report = check_local_bound(
         sc.model, sc.lyap, (0.0,), probe_clouds(10, seed=3), levels=(1, 2, 5)
     )
-    assert report.passed(), report.summary()
+    assert report.passed(), report.worst()
     assert any("/k=5" in row.probe for row in report.rows)
 
     sc3 = builtin_scenario("example3-cir")
@@ -351,17 +346,7 @@ def test_local_bound_check_on_builtin_scenarios():
     report3 = check_local_bound(
         sc3.model, sc3.lyap, (0.0,), positive, levels=(2, 3)
     )
-    assert report3.passed(), report3.summary()
-
-
-def test_fitted_growth_constant_is_tight():
-    sc = builtin_scenario("example1-quartic")
-    c, report = fit_growth_constant(sc.model, sc.lyap, (0.0, 1.0), probe_clouds(10))
-    assert c > 0.0 and math.isfinite(c)
-    assert report.passed()
-    assert len(report.rows) == 20
-    # the fit is the max ratio, so the binding probe has zero margin
-    assert report.worst().margin == pytest.approx(0.0, abs=1e-9)
+    assert report3.passed(), report3.worst()
 
 
 def test_report_csv_layout(tmp_path):
