@@ -43,7 +43,6 @@ from .lyapunov import (
     generator_values,
 )
 from .measure import (
-    EmpiricalMeasure,
     SemiWassersteinResult,
     VBarKernel,
     evaluate_functionals,
@@ -80,7 +79,6 @@ __all__ = [
     "CheckRow",
     "DiagnosticsSeries",
     "DomainLadder",
-    "EmpiricalMeasure",
     "InitialLaw",
     "LyapunovSpec",
     "MeasureFunction",

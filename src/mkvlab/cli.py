@@ -29,6 +29,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -518,7 +519,10 @@ def _load_samples(path: str) -> np.ndarray:
     for skiprows in (0, 1):
         for kwargs in ({}, {"delimiter": ","}):
             try:
-                arr = np.loadtxt(path, ndmin=2, skiprows=skiprows, **kwargs)
+                with warnings.catch_warnings():
+                    # an empty file is refused below, in mkvlab's own words
+                    warnings.simplefilter("ignore", UserWarning)
+                    arr = np.loadtxt(path, ndmin=2, skiprows=skiprows, **kwargs)
             except (ValueError, OSError) as exc:
                 last = exc
                 continue

@@ -46,9 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .lyapunov import CheckReport, CheckRow, LyapunovSpec
-from .measure import EmpiricalMeasure
-from .model import ModelSpec
+from .lyapunov import CheckReport, CheckRow, LyapunovSpec, _generator
+from .model import ModelSpec, as_cloud
 from .parallel import tree_mean
 from .simulate import (
     DiagnosticsSeries,
@@ -70,7 +69,6 @@ __all__ = [
     "MeasureFunction",
     "moment_function",
     "mean_square_function",
-    "centered_quartic",
     "registry_function",
     "REGISTRY",
     "lift_gradient",
@@ -84,11 +82,7 @@ FD_STEP_SCALE = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 def _atoms(mu) -> np.ndarray:
-    if isinstance(mu, EmpiricalMeasure):
-        return mu.samples
-    x = np.asarray(mu, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_cloud(mu)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("expected an (N, d) sample cloud")
     return x
@@ -100,10 +94,6 @@ def _scalar(x: np.ndarray) -> np.ndarray:
     return x[:, 0]
 
 
-def _floats(values) -> np.ndarray:
-    return np.asarray(values, dtype=float)
-
-
 def _fsum_mean(values: np.ndarray) -> float:
     return math.fsum(values.tolist()) / len(values)
 
@@ -113,12 +103,12 @@ class MeasureFunction:
     """A scalar function of a probability measure with optional analytic
     derivatives.
 
-    ``fn(samples) -> float`` evaluates on an (N, d) atom array (or an
-    EmpiricalMeasure). ``d_mu(samples, y) -> (M, d)`` is the measure
-    derivative evaluated at the points y given the measure; ``dy_d_mu`` its
-    y-Jacobian, shape (M, d, d). ``fd_scale(samples) -> float`` bounds the
-    third-derivative constant in the central-difference error h²·fd_scale,
-    used to size tolerances.
+    ``fn(samples) -> float`` evaluates on an (N, d) atom array.
+    ``d_mu(samples, y) -> (M, d)`` is the measure derivative evaluated at
+    the points y given the measure; ``dy_d_mu`` its y-Jacobian, shape
+    (M, d, d). ``fd_scale(samples) -> float`` bounds the third-derivative
+    constant in the central-difference error h²·fd_scale, used to size
+    tolerances.
     """
 
     uid: str
@@ -176,26 +166,6 @@ def mean_square_function() -> MeasureFunction:
         return np.zeros((_atoms(y).shape[0], 1, 1))
 
     return MeasureFunction("mean-square", fn, d_mu, dy_d_mu, lambda s: 0.0)
-
-
-def centered_quartic(xbar: float, alpha: float) -> MeasureFunction:
-    """u(μ) = (x̄ − α·∫y μ(dy))⁴ at a frozen point x̄ — the measure slice of
-    the centered-quartic Lyapunov function; derivative −4α(x̄ − α·mean)³."""
-
-    def fn(samples):
-        return (xbar - alpha * _fsum_mean(_scalar(samples))) ** 4
-
-    def d_mu(samples, y):
-        m = _fsum_mean(_scalar(_atoms(samples)))
-        g = -4.0 * alpha * (xbar - alpha * m) ** 3
-        return np.full((_atoms(y).shape[0], 1), g)
-
-    def dy_d_mu(samples, y):
-        return np.zeros((_atoms(y).shape[0], 1, 1))
-
-    return MeasureFunction(
-        f"centered-quartic(x={xbar:g},alpha={alpha:g})", fn, d_mu, dy_d_mu, lambda s: 0.0
-    )
 
 
 REGISTRY = {
@@ -395,31 +365,17 @@ def ito_residual_full(
     def before_step(clouds, fvs, coefficients, dw):
         # the primary cloud's rows come first in the block, the companion's next
         nonlocal acc, mart
-        x, y, fv, t = clouds[0].x, clouds[1].x, fvs[0], clouds[0].t
-        (b, b2), (s, s2) = (np.split(c, 2) for c in coefficients)
-        dvdx = _floats(lyap.dv_dx(t, x, fv))
-        local = (
-            _floats(lyap.dv_dt(t, x, fv))
-            + np.einsum("nd,nd->n", b, dvdx)
-            + 0.5 * np.einsum("nik,njk,nij->n", s, s, _floats(lyap.d2v_dx2(t, x, fv)))
-        )
-        measure = np.zeros(n)
-        for factor in lyap.measure_factors:
-            grad = _floats(factor.y_grad(t, y, fv))
-            inner = float(tree_mean(np.einsum("md,md->m", b2, grad)))
-            if factor.y_hess is not None:
-                hess = _floats(factor.y_hess(t, y, fv))
-                trace = np.einsum("mik,mjk,mij->m", s2, s2, hess)
-                inner += 0.5 * float(tree_mean(trace))
-            measure = measure + _floats(factor.x_part(t, x, fv)) * inner
-        acc += cfg.dt * (local + measure)
-        mart += np.einsum("nd,ndk,nk->n", dvdx, s, dw[:n])
+        x, y, t = clouds[0].x, clouds[1].x, clouds[0].t
+        primary, companion = zip(*(np.split(c, 2) for c in coefficients))
+        generator, dvdx = _generator(lyap, t, x, fvs[0], primary, y, companion)
+        acc += cfg.dt * generator
+        mart += np.einsum("nd,ndk,nk->n", dvdx, primary[1], dw[:n])
 
     def observe(clouds, fvs):
         nonlocal v0
         cloud = clouds[0]
         if cloud.step:
-            resid = _floats(lyap.v(cloud.t, cloud.x, fvs[0])) - v0 - acc - mart
+            resid = np.asarray(lyap.v(cloud.t, cloud.x, fvs[0]), float) - v0 - acc - mart
             rows.append([cloud.t, float(tree_mean(resid)), _mc_band(resid)])
         else:
             # a copy: v may return a view of the positions, which the steps move

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .measure import evaluate_functionals
-from .model import ModelSpec, evaluate_coefficients
+from .model import ModelSpec, as_cloud, evaluate_coefficients
 from .parallel import tree_mean
 
 __all__ = [
@@ -166,18 +166,35 @@ class LyapunovSpec:
         return float(tree_mean(np.asarray(self.v(t, x, fv), dtype=float)))
 
 
-def _as_cloud(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x[None, None]
-    elif x.ndim == 1:
-        x = x[:, None]
-    return x
+def _floats(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
 
 
 def _trace_quadratic(s: np.ndarray, H: np.ndarray) -> np.ndarray:
     """tr(σσ* H) per row, for σ (N,d,d') and H (N,d,d)."""
     return np.einsum("nik,njk,nij->n", s, s, H)
+
+
+def _generator(lyap, t, x, fv, coefficients, y, y_coefficients):
+    """(L^μ v, ∂_x v) at each row of ``x``, with μ the empirical measure of
+    ``y``: ``coefficients`` = (b, σ) at ``x``, ``y_coefficients`` those at
+    ``y`` (read only when v has measure factors), and ``fv`` the functional
+    values every part of v is evaluated under.
+
+    The measure integral is averaged over ``y`` once per separable factor
+    and shared across all evaluation points, so it costs O(N) rather than
+    O(N²).
+    """
+    (b, s), dvdx = coefficients, _floats(lyap.dv_dx(t, x, fv))
+    out = _floats(lyap.dv_dt(t, x, fv)) + np.einsum("nd,nd->n", b, dvdx)
+    out = out + 0.5 * _trace_quadratic(s, _floats(lyap.d2v_dx2(t, x, fv)))
+    for fac in lyap.measure_factors:
+        b_y, s_y = y_coefficients
+        contrib = np.einsum("md,md->m", b_y, _floats(fac.y_grad(t, y, fv)))
+        if fac.y_hess is not None:
+            contrib = contrib + 0.5 * _trace_quadratic(s_y, _floats(fac.y_hess(t, y, fv)))
+        out = out + _floats(fac.x_part(t, x, fv)) * float(tree_mean(contrib))
+    return out, dvdx
 
 
 def generator_values(
@@ -190,36 +207,15 @@ def generator_values(
 ) -> np.ndarray:
     """L^μ v at each row of ``x``, with μ the empirical measure of ``mu``.
 
-    The measure integral is averaged over ``mu`` once per separable factor
-    and shared across all evaluation points, so evaluating on x = mu costs
-    O(N) rather than O(N²).
+    The coefficients are evaluated uncut, and at ``mu`` only when v has a
+    measure factor; evaluating on x = mu costs O(N) rather than O(N²).
     """
-    x = _as_cloud(x)
-    mu = _as_cloud(mu)
+    x, mu = as_cloud(x), as_cloud(mu)
     if fv is None:
         fv = evaluate_functionals(model.functionals, mu)
-
-    b_x, s_x = evaluate_coefficients(model, t, x, fv)
-    out = np.asarray(lyap.dv_dt(t, x, fv), dtype=float) + np.einsum(
-        "nd,nd->n", b_x, np.asarray(lyap.dv_dx(t, x, fv), dtype=float)
-    )
-    out = out + 0.5 * _trace_quadratic(
-        s_x, np.asarray(lyap.d2v_dx2(t, x, fv), dtype=float)
-    )
-
-    if lyap.measure_factors:
-        b_y, s_y = evaluate_coefficients(model, t, mu, fv)
-        for fac in lyap.measure_factors:
-            contrib = np.einsum(
-                "md,md->m", b_y, np.asarray(fac.y_grad(t, mu, fv), dtype=float)
-            )
-            if fac.y_hess is not None:
-                contrib = contrib + 0.5 * _trace_quadratic(
-                    s_y, np.asarray(fac.y_hess(t, mu, fv), dtype=float)
-                )
-            inner = float(tree_mean(contrib))
-            out = out + np.asarray(fac.x_part(t, x, fv), dtype=float) * inner
-    return out
+    at_x = evaluate_coefficients(model, t, x, fv)
+    at_mu = evaluate_coefficients(model, t, mu, fv) if lyap.measure_factors else None
+    return _generator(lyap, t, x, fv, at_x, mu, at_mu)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +252,7 @@ def _sweep(model, t_samples, probes):
     """(label, cloud, fv, t) per probe cloud and time sample, labelled
     ``cloud<j>@t=<t>`` after the cloud's position."""
     for j, p in enumerate(probes):
-        cloud = _as_cloud(p)
+        cloud = as_cloud(p)
         fv = evaluate_functionals(model.functionals, cloud)
         for t in np.atleast_1d(np.asarray(t_samples, dtype=float)).tolist():
             yield f"cloud{j:02d}@t={t:g}", cloud, fv, t

@@ -1,5 +1,10 @@
 """Empirical-measure functionals and distances.
 
+A measure μ̂ is passed as its cloud: an (N, d) float array of N ≥ 1 finite
+samples, each of weight 1/N. A scalar or a 1-d array is N points of ℝ, by
+the one shape rule, ``mkvlab.model.as_cloud``. Scalar functionals require
+d = 1.
+
 Conventions, fixed once:
 
 * quantile at level s is the left-continuous generalized inverse evaluated
@@ -29,11 +34,10 @@ from typing import Callable
 
 import numpy as np
 
-from .model import MeasureFunctionalTag
+from .model import MeasureFunctionalTag, as_cloud
 from .parallel import tree_mean, tree_sum
 
 __all__ = [
-    "EmpiricalMeasure",
     "moment",
     "quantile",
     "expected_shortfall",
@@ -52,128 +56,104 @@ ASSIGNMENT_CAP = 256
 _LEVEL_EPS = 1e-9
 
 
-class EmpiricalMeasure:
-    """Uniform probability measure on N sample points of shape (N, d).
-
-    A thin view over a sample array with a cached sort of coordinate 0;
-    scalar functionals require d = 1. ``scratch``, an (N,) float64 buffer,
-    is where ``smallest`` partitions instead of in a fresh copy; it is
-    overwritten, and what ``smallest`` returns is a view of it.
-
-    Samples must be finite. ``_finite`` is for the Euler engine only: it
-    skips that check on positions its step has just checked.
-    """
-
-    def __init__(
-        self,
-        samples: np.ndarray,
-        scratch: np.ndarray | None = None,
-        *,
-        _finite: bool = False,
-    ):
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim == 1:
-            samples = samples[:, None]
-        if samples.ndim != 2 or samples.shape[0] < 1:
-            raise ValueError("samples must be a nonempty (N, d) array")
-        if not _finite and not np.isfinite(samples).all():
-            raise ValueError("samples must be finite")
-        self.samples = samples
-        self._scratch = scratch
-        self._sorted: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
-    def sorted_axis(self) -> np.ndarray:
-        """Sorted copy of coordinate 0, cached."""
-        if self._sorted is None:
-            self._sorted = np.sort(self.samples[:, 0])
-        return self._sorted
-
-    def smallest(self, k: int) -> np.ndarray:
-        """The k smallest values of coordinate 0, ascending.
-
-        Equals ``sorted_axis()[:k]``. A slice of the cached sort when there
-        is one; otherwise a partition at k followed by a sort of those k
-        values only (nothing is cached).
-        """
-        if self._sorted is not None or k >= self.n:
-            return self.sorted_axis()[:k]
-        x = self.samples[:, 0]
-        if k == 0:
-            return x[:0]
-        # np.partition and np.sort copy, then work in place; so does this
-        if self._scratch is None:
-            part = x.copy()
-        else:
-            part = self._scratch
-            np.copyto(part, x)
-        part.partition(k - 1)
-        part[:k].sort()
-        return part[:k]
-
-    def scalar(self) -> np.ndarray:
-        if self.dim != 1:
-            raise ValueError(f"operation requires d=1 samples, got d={self.dim}")
-        return self.samples[:, 0]
+def _cloud(mu, finite: bool = True) -> np.ndarray:
+    """``mu`` under ``as_cloud``'s rule, refused unless a nonempty (N, d)
+    array of finite samples (``finite=False`` skips that pass)."""
+    x = as_cloud(mu)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ValueError("samples must be a nonempty (N, d) array")
+    if finite and not np.isfinite(x).all():
+        raise ValueError("samples must be finite")
+    return x
 
 
-def _as_measure(mu, scratch=None, _finite=False) -> EmpiricalMeasure:
-    if isinstance(mu, EmpiricalMeasure):
-        return mu
-    return EmpiricalMeasure(mu, scratch, _finite=_finite)
+def _column(x: np.ndarray) -> np.ndarray:
+    """The one coordinate of a d = 1 cloud."""
+    if x.shape[1] != 1:
+        raise ValueError(f"operation requires d=1 samples, got d={x.shape[1]}")
+    return x[:, 0]
 
 
 # ---------------------------------------------------------------------------
-# scalar functionals
+# scalar functionals: each public function checks its input, then reduces
+# the column through a kernel that evaluate_functionals shares
 # ---------------------------------------------------------------------------
 
 
-def moment(mu, p: float) -> float:
-    """Raw moment (1/N) Σ x_i^p of a scalar empirical measure."""
-    mu = _as_measure(mu)
-    if p < 1:
-        raise ValueError("moment order must be >= 1")
-    x = mu.scalar()
+def _moment(x: np.ndarray, p: float) -> float:
     return float(tree_mean(x**p))
 
 
-def quantile(mu, s: float) -> float:
-    """Generalized-inverse quantile x_(⌈sN⌉) at level s ∈ (0, 1]."""
-    mu = _as_measure(mu)
-    mu.scalar()  # d = 1 only
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"quantile level must lie in (0, 1], got {s}")
-    xs = mu.sorted_axis()
-    n = mu.n
+def _quantile(x: np.ndarray, s: float) -> float:
+    n = x.size
     idx = int(math.ceil(s * n - _LEVEL_EPS * n))
-    idx = min(max(idx, 1), n)
-    return float(xs[idx - 1])
+    return float(np.sort(x)[min(max(idx, 1), n) - 1])
 
 
-def expected_shortfall(mu, alpha: float) -> float:
-    """ES(α) = (1/α) ∫₀^α F⁻¹(s) ds for the empirical inverse CDF."""
-    mu = _as_measure(mu)
-    mu.scalar()  # d = 1 only
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"shortfall level must lie in (0, 1], got {alpha}")
-    n = mu.n
+def _smallest(x: np.ndarray, k: int, scratch: np.ndarray | None) -> np.ndarray:
+    """The k smallest values of ``x``, ascending: a partition at k, then a
+    sort of those k values only. ``scratch``, an (N,) float64 buffer, is
+    where the partition runs instead of in a fresh copy; it is overwritten,
+    and what is returned is a view of it."""
+    if k >= x.size:
+        return np.sort(x)[:k]
+    if k == 0:
+        return x[:0]
+    # np.partition and np.sort copy, then work in place; so does this
+    if scratch is None:
+        part = x.copy()
+    else:
+        part = scratch
+        np.copyto(part, x)
+    part.partition(k - 1)
+    part[:k].sort()
+    return part[:k]
+
+
+def _shortfall(x: np.ndarray, alpha: float, scratch: np.ndarray | None = None) -> float:
+    n = x.size
     an = alpha * n
-    m = int(math.floor(an + _LEVEL_EPS * n))
-    m = min(m, n)
+    m = min(int(math.floor(an + _LEVEL_EPS * n)), n)
     frac = an - m
     partial = frac > _LEVEL_EPS * n and m < n
-    xs = mu.smallest(m + 1 if partial else m)
+    xs = _smallest(x, m + 1 if partial else m, scratch)
     total = float(tree_sum(xs[:m])) / n if m else 0.0
     if partial:
         total += frac / n * float(xs[m])
     return total / alpha
+
+
+def moment(mu, p: float) -> float:
+    """Raw moment (1/N) Σ x_i^p of a scalar empirical measure."""
+    x = _cloud(mu)
+    if p < 1:
+        raise ValueError("moment order must be >= 1")
+    return _moment(_column(x), p)
+
+
+def quantile(mu, s: float) -> float:
+    """Generalized-inverse quantile x_(⌈sN⌉) at level s ∈ (0, 1]."""
+    x = _column(_cloud(mu))
+    if not (0.0 < s <= 1.0):
+        raise ValueError(f"quantile level must lie in (0, 1], got {s}")
+    return _quantile(x, s)
+
+
+def expected_shortfall(mu, alpha: float) -> float:
+    """ES(α) = (1/α) ∫₀^α F⁻¹(s) ds for the empirical inverse CDF."""
+    x = _column(_cloud(mu))
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"shortfall level must lie in (0, 1], got {alpha}")
+    return _shortfall(x, alpha)
+
+
+_KERNELS = {
+    "raw-moment": lambda x, tag, scratch: _moment(x, tag.p),
+    "mean": lambda x, tag, scratch: float(tree_mean(x)),
+    "clipped-mean": lambda x, tag, scratch: float(tree_mean(np.clip(x, -1.0, 1.0))),
+    "quantile": lambda x, tag, scratch: _quantile(x, tag.alpha),
+    "expected-shortfall": lambda x, tag, scratch: _shortfall(x, tag.alpha, scratch),
+}
 
 
 def evaluate_functionals(
@@ -186,26 +166,17 @@ def evaluate_functionals(
     """Evaluate declared functionals on a raw (N, d) sample array.
 
     Returns {tag.key: float}. All reductions go through the deterministic
-    tree so the values never depend on worker scheduling. ``scratch`` and
-    the engine-only ``_finite`` are handed to ``EmpiricalMeasure`` (see
-    there); the values do not change.
+    tree so the values never depend on worker scheduling. ``scratch``, an
+    (N,) float64 buffer, is where expected shortfall partitions (see
+    ``_smallest``); the values do not change. ``_finite`` is for the Euler
+    engine only: it skips the finiteness pass on positions its step has
+    just checked.
     """
-    mu = _as_measure(samples, scratch, _finite)
-    fv: dict = {}
-    for tag in tags:
-        if tag.kind == "raw-moment":
-            fv[tag.key] = moment(mu, tag.p)
-        elif tag.kind == "mean":
-            fv[tag.key] = float(tree_mean(mu.scalar()))
-        elif tag.kind == "clipped-mean":
-            fv[tag.key] = float(tree_mean(np.clip(mu.scalar(), -1.0, 1.0)))
-        elif tag.kind == "quantile":
-            fv[tag.key] = quantile(mu, tag.alpha)
-        elif tag.kind == "expected-shortfall":
-            fv[tag.key] = expected_shortfall(mu, tag.alpha)
-        else:  # pragma: no cover - guarded by the tag constructor
-            raise ValueError(f"unhandled functional kind {tag.kind!r}")
-    return fv
+    x = _cloud(samples, not _finite)
+    if not tags:
+        return {}
+    x = _column(x)
+    return {tag.key: _KERNELS[tag.kind](x, tag, scratch) for tag in tags}
 
 
 # ---------------------------------------------------------------------------
@@ -216,20 +187,17 @@ def evaluate_functionals(
 def wasserstein_p_1d(mu, nu, p: float) -> float:
     """p-Wasserstein distance between equal-N scalar empirical measures.
 
-    Sorted coupling; includes the p-th root. |a − b|^p is formed in a
-    sorted copy this call owns, that of an array argument; a caller's
-    ``EmpiricalMeasure`` keeps its cached sort.
+    Sorted coupling; includes the p-th root. |a − b|^p is formed in the
+    sorted copy of ``mu`` that this call owns.
     """
-    owned = [not isinstance(m, EmpiricalMeasure) for m in (mu, nu)]
-    mu, nu = _as_measure(mu), _as_measure(nu)
-    mu.scalar(), nu.scalar()  # d = 1 only
+    a, b = _column(_cloud(mu)), _column(_cloud(nu))
     if p < 1:
         raise ValueError("Wasserstein order must be >= 1")
-    if mu.n != nu.n:
-        raise ValueError(f"sample counts differ: {mu.n} vs {nu.n}")
-    a, b = mu.sorted_axis(), nu.sorted_axis()
+    if a.size != b.size:
+        raise ValueError(f"sample counts differ: {a.size} vs {b.size}")
+    a, b = np.sort(a), np.sort(b)
     # in place, ** takes the same scalar-power path
-    diff = np.subtract(a, b, out=a if owned[0] else b if owned[1] else None)
+    diff = np.subtract(a, b, out=a)
     np.abs(diff, out=diff)
     diff **= p
     return float(tree_mean(diff)) ** (1.0 / p)
@@ -245,16 +213,15 @@ def wasserstein_exact(mu, nu, cost: float | Callable[[np.ndarray], np.ndarray]) 
     # imported on first use: scipy costs every other process ~0.5 s and ~50 MB
     from scipy.optimize import linear_sum_assignment
 
-    mu, nu = _as_measure(mu), _as_measure(nu)
-    if mu.n != nu.n:
-        raise ValueError(f"sample counts differ: {mu.n} vs {nu.n}")
-    if mu.n > ASSIGNMENT_CAP:
-        raise ValueError(
-            f"exact assignment capped at N={ASSIGNMENT_CAP}, got {mu.n}"
-        )
-    delta = mu.samples[:, None, :] - nu.samples[None, :, :]
+    x, y = _cloud(mu), _cloud(nu)
+    n = x.shape[0]
+    if n != y.shape[0]:
+        raise ValueError(f"sample counts differ: {n} vs {y.shape[0]}")
+    if n > ASSIGNMENT_CAP:
+        raise ValueError(f"exact assignment capped at N={ASSIGNMENT_CAP}, got {n}")
+    delta = x[:, None, :] - y[None, :, :]
     if callable(cost):
-        if mu.dim != 1:
+        if x.shape[1] != 1:
             raise ValueError("kernel costs require d=1 samples")
         cmat = np.asarray(cost(delta[:, :, 0]), dtype=float)
     else:
@@ -321,18 +288,19 @@ def semi_wasserstein_vbar(mu, nu, vbar) -> SemiWassersteinResult:
     is optimal; otherwise the exact assignment is solved up to the N cap,
     beyond which the sorted value is reported flagged as an upper bound.
     """
-    mu, nu = _as_measure(mu), _as_measure(nu)
-    if mu.n != nu.n:
-        raise ValueError(f"sample counts differ: {mu.n} vs {nu.n}")
-    if mu.dim != 1 or nu.dim != 1:
+    x, y = _cloud(mu), _cloud(nu)
+    n = x.shape[0]
+    if n != y.shape[0]:
+        raise ValueError(f"sample counts differ: {n} vs {y.shape[0]}")
+    if x.shape[1] != 1 or y.shape[1] != 1:
         raise ValueError("semi-Wasserstein is implemented for d=1 samples")
     convex = bool(getattr(vbar, "convex", False))
-    diffs = mu.sorted_axis() - nu.sorted_axis()
-    _validate_kernel(vbar, diffs if diffs.size else np.zeros(1))
+    diffs = np.sort(x[:, 0]) - np.sort(y[:, 0])
+    _validate_kernel(vbar, diffs)
     sorted_value = float(tree_mean(np.asarray(vbar(diffs), dtype=float)))
     if convex:
         return SemiWassersteinResult(sorted_value, True, "sorted-coupling")
-    if mu.n <= ASSIGNMENT_CAP:
-        exact = wasserstein_exact(mu, nu, vbar)
+    if n <= ASSIGNMENT_CAP:
+        exact = wasserstein_exact(x, y, vbar)
         return SemiWassersteinResult(exact, True, "exact-assignment")
     return SemiWassersteinResult(sorted_value, False, "sorted-upper-bound")

@@ -22,12 +22,27 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "as_cloud",
     "DomainLadder",
     "MeasureFunctionalTag",
     "ModelSpec",
     "evaluate_coefficients",
     "ladder_level",
 ]
+
+
+def as_cloud(x) -> np.ndarray:
+    """``x`` as a float cloud of shape (N, d), the one rule every entry point
+    applies: a scalar or a 1-d array is N points of ℝ, shape (N, 1); a 2-d
+    float array comes back as it is, not copied. Other shapes pass through
+    for the caller to refuse.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return x[None, None]
+    if x.ndim == 1:
+        return x[:, None]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +141,7 @@ class DomainLadder:
         With ``k`` given, tests the closed box D_k; otherwise the open
         domain D (strict inequalities at finite bounds).
         """
-        x = np.asarray(x)
-        if x.ndim == 1:
-            x = x[:, None]
+        x = as_cloud(x)
         if k is not None:
             lo, hi = self.box(k)
             if self.dim == 1 and x.shape[1] == 1:
@@ -271,9 +284,7 @@ def evaluate_coefficients(
     ``_dead``, for the Euler engine only, is its mask of dead rows (or False
     for none): it stands in for ``cut_level``, both box tests and the key check.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_cloud(x)
     fvs = [fv] if isinstance(fv, dict) else fv
     if x.shape[0] % len(fvs):
         raise ValueError(f"{x.shape[0]} rows do not split into {len(fvs)} clouds")

@@ -58,11 +58,19 @@ def _constant_diffusion(sigma: float):
     return lambda t, x, fv: s
 
 
-def _quartic_derivs():
-    return dict(
+def _quadratic(mode: str, m1: float, m2: float) -> LyapunovSpec:
+    """v = x² with floor V = x², V_k = k², and constant rates (m1, m2)."""
+    return LyapunovSpec(
+        name="quadratic",
+        mode=mode,
+        v=lambda t, x, fv: x[:, 0] ** 2,
         dv_dt=lambda t, x, fv: np.zeros(x.shape[0]),
-        dv_dx=lambda t, x, fv: 4.0 * x**3,
-        d2v_dx2=lambda t, x, fv: (12.0 * x[:, 0] ** 2)[:, None, None],
+        dv_dx=lambda t, x, fv: 2.0 * x,
+        d2v_dx2=lambda t, x, fv: np.full((x.shape[0], 1, 1), 2.0),
+        m1=Rate.constant(m1),
+        m2=Rate.constant(m2),
+        floor_V=lambda t, x: x[:, 0] ** 2,
+        boundary_infimum=lambda k: float(k) ** 2,
     )
 
 
@@ -82,11 +90,13 @@ def _example1() -> Scenario:
         name="quartic-moment",
         mode="integrated",
         v=lambda t, x, fv: x[:, 0] ** 4,
+        dv_dt=lambda t, x, fv: np.zeros(x.shape[0]),
+        dv_dx=lambda t, x, fv: 4.0 * x**3,
+        d2v_dx2=lambda t, x, fv: (12.0 * x[:, 0] ** 2)[:, None, None],
         m1=Rate.constant(-1.0),
         m2=Rate.constant(4.0),
         floor_V=lambda t, x: x[:, 0] ** 4,
         boundary_infimum=lambda k: float(k) ** 4,
-        **_quartic_derivs(),
     )
     return Scenario(model, lyap, PointMass(1.0))
 
@@ -214,18 +224,7 @@ def _linear_meanfield(
         params={"a": a, "b": b, "sigma": sigma},
     )
     mode = "pointwise" if b == 0 else "integrated"
-    lyap = LyapunovSpec(
-        name="quadratic",
-        mode=mode,
-        v=lambda t, x, fv: x[:, 0] ** 2,
-        dv_dt=lambda t, x, fv: np.zeros(x.shape[0]),
-        dv_dx=lambda t, x, fv: 2.0 * x,
-        d2v_dx2=lambda t, x, fv: np.full((x.shape[0], 1, 1), 2.0),
-        m1=Rate.constant(2.0 * a + 2.0 * abs(b)),
-        m2=Rate.constant(sigma**2),
-        floor_V=lambda t, x: x[:, 0] ** 2,
-        boundary_infimum=lambda k: float(k) ** 2,
-    )
+    lyap = _quadratic(mode, 2.0 * a + 2.0 * abs(b), sigma**2)
     # Coupled generator on v̄ = z²: 2Δ(aΔ + b·δmean) ≤ (2a+|b|)v̄ + |b|·W_v̄
     # (pointwise, since δmean² ≤ ∫Δ²dπ for every coupling); averaging the
     # cross term against a coupling instead gives h_int = 2a + 2|b|.
@@ -248,19 +247,8 @@ def _scheutzow_clip(sigma0: float = 0.4) -> Scenario:
         local_bound=lambda k: float(k) + 1.0 + sigma0,
         params={"sigma0": sigma0},
     )
-    lyap = LyapunovSpec(
-        name="quadratic",
-        mode="pointwise",
-        v=lambda t, x, fv: x[:, 0] ** 2,
-        dv_dt=lambda t, x, fv: np.zeros(x.shape[0]),
-        dv_dx=lambda t, x, fv: 2.0 * x,
-        d2v_dx2=lambda t, x, fv: np.full((x.shape[0], 1, 1), 2.0),
-        # 2x(−x + c̄) + σ₀² ≤ −x² + c̄² + σ₀² with |c̄| ≤ 1.
-        m1=Rate.constant(-1.0),
-        m2=Rate.constant(1.0 + sigma0**2),
-        floor_V=lambda t, x: x[:, 0] ** 2,
-        boundary_infimum=lambda k: float(k) ** 2,
-    )
+    # 2x(−x + c̄) + σ₀² ≤ −x² + c̄² + σ₀² with |c̄| ≤ 1.
+    lyap = _quadratic("pointwise", -1.0, 1.0 + sigma0**2)
     # 2Δ(−Δ + δc̄) ≤ −v̄ + δc̄² and δc̄² ≤ W_v̄ because clip is 1-Lipschitz;
     # under a coupling, Cauchy–Schwarz gives zero net growth instead.
     stability = {"g": -1.0, "h": 1.0, "h_int": 0.0}

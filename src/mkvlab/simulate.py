@@ -36,7 +36,7 @@ import numpy as np
 
 from . import lyapunov
 from .measure import evaluate_functionals
-from .model import ModelSpec, evaluate_coefficients, ladder_level
+from .model import ModelSpec, as_cloud, evaluate_coefficients, ladder_level
 from .parallel import tree_mean
 
 __all__ = [
@@ -382,9 +382,7 @@ class Samples(InitialLaw):
     samples: np.ndarray
 
     def __init__(self, samples):
-        arr = np.asarray(samples, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
+        arr = as_cloud(samples)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("initial samples must form a nonempty (N, d) array")
         if not np.isfinite(arr).all():
@@ -423,9 +421,7 @@ class ParticleCloud:
     @staticmethod
     def create(x0: np.ndarray, model: ModelSpec, levels) -> "ParticleCloud":
         """A step-0 cloud that owns a copy of ``x0``; ``levels`` run inside out."""
-        x0 = np.array(x0, dtype=float)
-        if x0.ndim == 1:
-            x0 = x0[:, None]
+        x0 = as_cloud(x0).copy()
         for m, m2 in zip(levels, levels[1:]):
             (lo, hi), (lo2, hi2) = model.ladder.box(m), model.ladder.box(m2)
             if (lo < lo2).any() or (hi > hi2).any():

@@ -2,11 +2,14 @@
 
 Each oracle computes its quantity by a route independent of the library
 code it checks: a closed form, or a direct O(N²) reduction where the
-library collapses a sum to O(N). None of them is part of the package.
+library collapses a sum to O(N). ``centered_quartic`` is a measure function
+with closed-form derivatives that only the tests differentiate. None of
+them is part of the package.
 """
 
 import numpy as np
 
+from mkvlab.lions import MeasureFunction, _atoms, _fsum_mean, _scalar
 from mkvlab.measure import evaluate_functionals
 from mkvlab.model import evaluate_coefficients
 
@@ -30,6 +33,26 @@ def moment_ode_oracle(scenario, m0: float, t):
     t = np.asarray(t, dtype=float)
     out = 3.0 * m0 / (4.0 * m0 + (3.0 - 4.0 * m0) * np.exp(-3.0 * t))
     return float(out) if out.ndim == 0 else out
+
+
+def centered_quartic(xbar: float, alpha: float) -> MeasureFunction:
+    """u(μ) = (x̄ − α·∫y μ(dy))⁴ at a frozen point x̄ — the measure slice of
+    the centered-quartic Lyapunov function; derivative −4α(x̄ − α·mean)³."""
+
+    def fn(samples):
+        return (xbar - alpha * _fsum_mean(_scalar(samples))) ** 4
+
+    def d_mu(samples, y):
+        m = _fsum_mean(_scalar(_atoms(samples)))
+        g = -4.0 * alpha * (xbar - alpha * m) ** 3
+        return np.full((_atoms(y).shape[0], 1), g)
+
+    def dy_d_mu(samples, y):
+        return np.zeros((_atoms(y).shape[0], 1, 1))
+
+    return MeasureFunction(
+        f"centered-quartic(x={xbar:g},alpha={alpha:g})", fn, d_mu, dy_d_mu, lambda s: 0.0
+    )
 
 
 def _trace_quadratic(s: np.ndarray, H: np.ndarray) -> np.ndarray:

@@ -11,11 +11,11 @@ import math
 import numpy as np
 import pytest
 from conftest import VERDICTS
-from oracles import moment_ode_oracle
+from oracles import centered_quartic, moment_ode_oracle
 
 from mkvlab.analysis import stability_experiment, stationary_estimate
 from mkvlab.cli import main
-from mkvlab.lions import centered_quartic, check_structure, ito_residual_measure, moment_function
+from mkvlab.lions import check_structure, ito_residual_measure, moment_function
 from mkvlab.lyapunov import check_floor, check_lyapunov_condition, exit_probability_bound
 from mkvlab.measure import semi_wasserstein_vbar, vbar_power, wasserstein_exact, wasserstein_p_1d
 from mkvlab.scenarios import builtin_scenario

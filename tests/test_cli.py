@@ -1,5 +1,10 @@
 """Command-line behaviour: config parsing, exit codes, emitted files."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -579,6 +584,23 @@ def test_wasserstein_reads_a_first_line_as_a_header_only_if_it_does_not_parse(
     else:
         assert code == 2 and "non-finite sample" in captured.err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "value\n"], ids=["empty", "header-only"])
+def test_wasserstein_refuses_a_file_without_samples_in_one_line(tmp_path, text):
+    # a fresh interpreter: pytest would catch a warning before stderr saw it
+    a = tmp_path / "a.txt"
+    a.write_text(text)
+    b = tmp_path / "b.txt"
+    b.write_text("0.0\n1.0\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "mkvlab.cli", "wasserstein", str(a), str(b)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 2
+    assert run.stderr == f"mkvlab: config error: no samples in {a}\n"
 
 
 def test_wasserstein_rejects_matrix_input(tmp_path, capsys):

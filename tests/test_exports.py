@@ -48,12 +48,16 @@ def test_every_exported_name_exists(name):
     assert not missing
 
 
-def _references(path: Path) -> set:
+def _references(path: Path, skip: str | None = None) -> set:
     """Every name, attribute, imported name and string constant in the code
     of ``path``; a string counts because the benchmark's tracer looks
-    functions up by name."""
+    functions up by name. With ``skip``, the top-level definition of that
+    name and ``__all__`` are left out: they name it without using it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if skip is not None:
+        tree.body = [node for node in tree.body if not _names(node, skip)]
     out = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -63,6 +67,20 @@ def _references(path: Path) -> set:
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.add(node.value)
     return out
+
+
+def _names(node, name: str) -> bool:
+    """Whether the top-level statement ``node`` defines ``name`` or ``__all__``."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name == name
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    return any(getattr(t, "id", None) == "__all__" for t in targets)
+
+
+def _sources() -> list:
+    """The package's modules other than ``__init__``, and the benchmark's."""
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    return sources + sorted((ROOT / "bench").glob("*.py"))
 
 
 def _home(name: str) -> Path:
@@ -79,9 +97,7 @@ def _home(name: str) -> Path:
 def test_every_export_has_a_caller_or_a_reason():
     # a name only tests use belongs in the tests (exact answers go to
     # tests/oracles.py), unless KEPT gives its reason to stay
-    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    sources += sorted((ROOT / "bench").glob("*.py"))
-    refs = {path: _references(path) for path in sources}
+    refs = {path: _references(path) for path in _sources()}
     homes = {name: _home(name) for name in mkvlab.__all__}
     unused = {
         name
@@ -90,3 +106,29 @@ def test_every_export_has_a_caller_or_a_reason():
     }
     assert sorted(unused - set(KEPT)) == []
     assert sorted(set(KEPT) - unused) == []  # the allowlist holds no name in use
+
+
+def _public_definitions(path: Path) -> list:
+    """The public functions and classes defined at the top level of ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def test_every_public_definition_has_a_caller_or_a_reason():
+    # what no __all__ lists is still public: each submodule's top-level
+    # functions and classes need a use in src/ or bench/ beyond their own
+    # definition, or a reason in KEPT
+    refs = {path: _references(path) for path in _sources()}
+    unused = [
+        name
+        for home in sorted(PACKAGE.glob("*.py"))
+        for name in _public_definitions(home)
+        if name not in KEPT
+        and name not in _references(home, name)
+        and not any(name in names for path, names in refs.items() if path != home)
+    ]
+    assert unused == []

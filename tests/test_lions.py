@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import quartic_lyap
+from oracles import centered_quartic
 from mkvlab.lions import (
     REGISTRY,
     MeasureFunction,
-    centered_quartic,
     check_structure,
     ito_residual_full,
     ito_residual_measure,

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mkvlab.measure import (
-    EmpiricalMeasure,
     VBarKernel,
     evaluate_functionals,
     expected_shortfall,
@@ -60,10 +59,11 @@ def test_moment_order_below_one_rejected():
 
 
 def test_measure_rejects_bad_samples():
+    # no functional declared: the samples alone are checked
     with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([[np.nan]]))
+        evaluate_functionals((), np.array([[np.nan]]))
     with pytest.raises(ValueError):
-        EmpiricalMeasure(np.empty((0, 1)))
+        evaluate_functionals((), np.empty((0, 1)))
     # the public functional reduction checks finiteness too
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -151,13 +151,10 @@ def shortfall_by_full_sort(x, alpha):
 def assert_shortfall_matches_full_sort(x, alpha):
     want = shortfall_by_full_sort(x, alpha)
     fresh = expected_shortfall(x[:, None], alpha)  # partition path
-    mu = EmpiricalMeasure(x[:, None])
-    mu.sorted_axis()
-    cached = expected_shortfall(mu, alpha)  # cached-sort path
+    tag = MeasureFunctionalTag("expected-shortfall", alpha=alpha)
     scratch = np.full(x.size, np.nan)
-    in_scratch = expected_shortfall(EmpiricalMeasure(x[:, None], scratch), alpha)
-    assert repr(fresh) == repr(want) and repr(cached) == repr(want)
-    assert repr(in_scratch) == repr(want)
+    in_scratch = evaluate_functionals((tag,), x[:, None], scratch)[tag.key]
+    assert repr(fresh) == repr(want) and repr(in_scratch) == repr(want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -284,17 +281,15 @@ def test_w_p_equals_the_allocating_formula_bit_for_bit(p):
     assert wasserstein_p_1d(a, b, p).hex() == want.hex()
 
 
-def test_w_leaves_a_callers_cached_sort_alone():
+def test_w_leaves_its_inputs_untouched():
+    # |a − b|^p is formed in place, in a sorted copy, never in an input;
+    # a 1-d input is a view of the caller's array under the shape rule
     rng = np.random.Generator(np.random.Philox(25))
     a, b = rng.normal(size=(500, 1)), rng.normal(size=(500, 1))
     a0, b0 = a.copy(), b.copy()
-    mu, nu = EmpiricalMeasure(a), EmpiricalMeasure(b)
-    sa, sb = mu.sorted_axis().copy(), nu.sorted_axis().copy()
     want = wasserstein_p_1d(a, b, 2.0)
-    for pair in ((mu, nu), (mu, b), (a, nu)):
+    for pair in ((a, b), (a[:, 0], b), (a, b[:, 0]), (a[:, 0], b[:, 0])):
         assert wasserstein_p_1d(*pair, 2.0) == want
-    assert np.array_equal(mu.sorted_axis(), sa)
-    assert np.array_equal(nu.sorted_axis(), sb)
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 

@@ -5,9 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from mkvlab.measure import evaluate_functionals
-from mkvlab.model import DomainLadder, MeasureFunctionalTag, ModelSpec, evaluate_coefficients
+from mkvlab.lions import lift_gradient, moment_function
+from mkvlab.lyapunov import generator_values
+from mkvlab.measure import (
+    evaluate_functionals,
+    expected_shortfall,
+    moment,
+    quantile,
+    semi_wasserstein_vbar,
+    vbar_power,
+    wasserstein_exact,
+    wasserstein_p_1d,
+)
+from mkvlab.model import (
+    DomainLadder,
+    MeasureFunctionalTag,
+    ModelSpec,
+    as_cloud,
+    evaluate_coefficients,
+)
 from mkvlab.scenarios import builtin_scenario, scenario_names
+from mkvlab.simulate import ParticleCloud, Samples
 
 
 # ---------------------------------------------------------------------------
@@ -252,3 +270,83 @@ def test_scenario_names_are_sorted_and_complete():
         "linear-meanfield",
         "scheutzow-clip",
     }
+
+
+# ---------------------------------------------------------------------------
+# the shape rule: a cloud is an (N, d) float array, a 1-d array N points of ℝ
+# ---------------------------------------------------------------------------
+
+_POINTS = [0.3, -1.2, 2.5, 0.0, 1.1, -0.4, 0.9]
+_OTHER = np.array([[0.7], [-0.1], [1.9], [-2.2], [0.4], [0.05], [1.3]])
+_TAGS = tuple(
+    MeasureFunctionalTag(kind, p=p, alpha=alpha)
+    for kind, p, alpha in [
+        ("raw-moment", 3, None),
+        ("mean", None, None),
+        ("clipped-mean", None, None),
+        ("quantile", None, 0.4),
+        ("expected-shortfall", None, 0.3),
+    ]
+)
+_SC = builtin_scenario("example2-nonlinear")  # v has a measure factor
+
+
+def _created(x):
+    cloud = ParticleCloud.create(x, _SC.model, (1, 2))
+    return [*cloud.exit_step.values(), cloud.x]
+
+
+#: name -> (call on a cloud, whether it is a measure functional of the
+#: cloud, whether it is a scalar statistic, which refuses d = 2)
+_TAKES_A_CLOUD = {
+    "moment": (lambda x: moment(x, 3), True, True),
+    "quantile": (lambda x: quantile(x, 0.4), True, True),
+    "expected_shortfall": (lambda x: expected_shortfall(x, 0.3), True, True),
+    "evaluate_functionals": (lambda x: evaluate_functionals(_TAGS, x), True, True),
+    "wasserstein_p_1d": (lambda x: wasserstein_p_1d(x, _OTHER, 1.5), True, True),
+    "semi_wasserstein_vbar": (
+        lambda x: semi_wasserstein_vbar(x, _OTHER, vbar_power(2.0)).value, True, True
+    ),
+    "wasserstein_exact": (lambda x: wasserstein_exact(x, _OTHER, 1.0), True, False),
+    "generator_values": (
+        lambda x: generator_values(_SC.model, _SC.lyap, 0.5, x, x), False, False
+    ),
+    "lift_gradient": (lambda x: lift_gradient(moment_function(2), x, 2), False, False),
+    "MeasureFunction": (lambda x: moment_function(4)(x), False, False),
+    "Samples": (lambda x: Samples(x).samples, False, False),
+    "ParticleCloud.create": (_created, False, False),
+}
+
+
+def _bytes(result):
+    if isinstance(result, dict):
+        return repr(result)
+    if isinstance(result, list):
+        return [_bytes(r) for r in result]
+    result = np.asarray(result)
+    return result.dtype.str, result.shape, result.tobytes()
+
+
+@pytest.mark.parametrize("name", list(_TAKES_A_CLOUD))
+def test_every_entry_point_reads_a_cloud_by_one_rule(name):
+    call, functional, scalar = _TAKES_A_CLOUD[name]
+    column = np.array(_POINTS)
+    want = _bytes(call(column[:, None]))
+    assert _bytes(call(column)) == want
+    assert _bytes(call(list(_POINTS))) == want
+    if scalar:
+        with pytest.raises(ValueError, match="d=1"):
+            call(np.stack([column, column], axis=1))
+    if functional:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                call(np.where(column == 0.0, bad, column))
+        with pytest.raises(ValueError, match="nonempty"):
+            call(np.empty(0))
+
+
+def test_as_cloud_keeps_a_cloud_and_lifts_points():
+    x = np.zeros((4, 2))
+    assert as_cloud(x) is x
+    assert as_cloud(2.5).shape == (1, 1)
+    assert as_cloud([1, 2, 3]).dtype == float and as_cloud([1, 2, 3]).shape == (3, 1)
